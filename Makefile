@@ -15,7 +15,7 @@ build:
 test: build
 	ctest --test-dir $(BUILD) --output-on-failure
 
-# Runs the event-core microbenchmarks and the sharded relay fan-out A/B
+# Runs the event-core microbenchmarks and the relay fan-out A/B
 # (Release recommended), writing the perf-trajectory reports to
 # $(BUILD)/BENCH_PR2.json and $(BUILD)/BENCH_PR3.json; compare against the
 # checked-in BENCH_PR2.json / BENCH_PR3.json medians at the repo root.

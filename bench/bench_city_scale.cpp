@@ -16,7 +16,7 @@
 //
 // The sweep runs once at 1 thread and twice at 8 (the second 8-thread pass
 // is the placement-replica check); all three aggregate reports must be
-// byte-identical, and `--shards K` must not change a byte either (exit 1).
+// byte-identical (exit 1).
 //
 // `--gate <ratio>` switches to the fleet-of-1 equivalence gate CI's
 // perf-smoke job runs: interleaved A/B rounds of the same single-meeting
@@ -38,20 +38,6 @@
 namespace {
 
 using namespace vc;
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -96,9 +82,9 @@ struct Cell {
 /// Fleet-of-1 equivalence gate (CI perf-smoke): A = native relay steering,
 /// B = fleet of size 1 with the balancer armed. Returns the process exit
 /// code.
-int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
-  const auto make_task = [shards](bool fleet_on) {
-    return [shards, fleet_on](runner::SessionContext& ctx) {
+int run_gate(double gate, int rounds, const std::string& out_path) {
+  const auto make_task = [](bool fleet_on) {
+    return [fleet_on](runner::SessionContext& ctx) {
       core::CityScaleConfig cfg;
       // Single-meeting Webex: the one workload whose native steering a
       // fleet of 1 reproduces move for move (one relay at webex-us-east,
@@ -111,7 +97,6 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
       cfg.use_fleet = fleet_on;
       cfg.fleet_size = 1;
       cfg.attach_fleet_metrics = false;  // match the native instrument set
-      cfg.fan_out_shards = shards;
       cfg.seed = ctx.seed;
       cfg.metrics = &ctx.metrics;
       const auto r = core::run_city_scale_benchmark(cfg);
@@ -174,26 +159,26 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::double_flag(argc, argv, "--gate", 0.0);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
-  const std::string out_path = flag_string(argc, argv, "--out", "bench_city_scale.report.json");
-  if (gate > 0.0) return run_gate(gate, rounds, shards, out_path);
+  const std::string out_path =
+      vcb::string_flag(argc, argv, "--out", "bench_city_scale.report.json");
+  if (gate > 0.0) return run_gate(gate, rounds, out_path);
 
   vcb::banner("City scale — relay federation fleet sweep", paper);
 
   const platform::PlatformId plat =
-      parse_platform(flag_string(argc, argv, "--platform", "zoom"));
+      parse_platform(vcb::string_flag(argc, argv, "--platform", "zoom"));
   const int cities = vcb::int_flag(argc, argv, "--cities", paper ? 8 : 4);
   const int meetings = vcb::int_flag(argc, argv, "--meetings", paper ? 24 : 13);
   const int participants = vcb::int_flag(argc, argv, "--participants", 7);
   const int overflow = vcb::int_flag(argc, argv, "--overflow", 6);
   std::vector<int> fleet_sizes;
-  for (const auto& s : split_csv(flag_string(argc, argv, "--fleets", "1,2,4"))) {
+  for (const auto& s : split_csv(vcb::string_flag(argc, argv, "--fleets", "1,2,4"))) {
     fleet_sizes.push_back(std::atoi(s.c_str()));
   }
   std::vector<fleet::PlacementPolicy> policies;
-  for (const auto& s : split_csv(flag_string(argc, argv, "--policies", "rr,least,locality"))) {
+  for (const auto& s : split_csv(vcb::string_flag(argc, argv, "--policies", "rr,least,locality"))) {
     policies.push_back(fleet::parse_policy(s));
   }
 
@@ -218,8 +203,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < cities; ++i) cells.push_back(c);
   }
 
-  const auto task = [&cells, plat, meetings, participants, overflow,
-                     shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, plat, meetings, participants,
+                     overflow](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::CityScaleConfig cfg;
     cfg.platform = plat;
@@ -229,7 +214,6 @@ int main(int argc, char** argv) {
     cfg.meetings = meetings;
     cfg.participants_per_meeting = participants;
     cfg.inject_crash = c.crash;
-    cfg.fan_out_shards = shards;
     cfg.seed = ctx.seed;
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;
@@ -291,8 +275,7 @@ int main(int argc, char** argv) {
 
   const bool identical = serial.aggregate_json() == report.aggregate_json() &&
                          report.aggregate_json() == replica.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
+  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
   std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
               serial.wall_seconds, report.wall_seconds,
               report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);

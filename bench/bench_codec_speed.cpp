@@ -95,20 +95,6 @@ TrialResult run_trial(const std::vector<Frame>& feed_frames, int frames, int wid
   return out;
 }
 
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,8 +102,8 @@ int main(int argc, char** argv) {
   const int height = vcb::int_flag(argc, argv, "--height", 96);
   const int frames = std::max(8, vcb::int_flag(argc, argv, "--frames", 120));
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 7));
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
-  const std::string out_path = flag_string(argc, argv, "--out", "BENCH_PR7.json");
+  const double gate = vcb::double_flag(argc, argv, "--gate", 0.0);
+  const std::string out_path = vcb::string_flag(argc, argv, "--out", "BENCH_PR7.json");
 
   const DctBackend best = best_dct_backend();
   std::printf("codec transform A/B: %dx%d, %d frames/trial, %d rounds, simd backend=%s, gate=%.2f\n",

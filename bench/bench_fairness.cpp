@@ -8,9 +8,8 @@
 // a shared link.
 //
 // The sweep runs on runner::ExperimentRunner once at 1 thread and once at 8;
-// the aggregate reports must be bit-identical — ABR active included — and
-// `--shards K` (intra-session relay fan-out sharding) must not change a byte
-// either (exit 1 on any mismatch).
+// the aggregate reports must be bit-identical — ABR active included (exit 1
+// on any mismatch).
 //
 // `--gate <ratio>` switches to the ABR-off invisibility check CI's
 // perf-smoke job runs: interleaved A/B rounds of the same contention scene,
@@ -33,27 +32,13 @@ namespace {
 
 using namespace vc;
 
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
 struct Cell {
   int flows = 2;
   bool abr = true;
   std::string key;  // e.g. "f4.abr" / "f4.plain"
 };
 
-core::FairnessBenchmarkConfig cell_config(const Cell& cell, SimDuration media, int shards) {
+core::FairnessBenchmarkConfig cell_config(const Cell& cell, SimDuration media) {
   core::FairnessBenchmarkConfig cfg;
   cfg.flows = core::default_fairness_flows(cell.flows);
   if (!cell.abr) {
@@ -63,7 +48,6 @@ core::FairnessBenchmarkConfig cell_config(const Cell& cell, SimDuration media, i
   // per-flow contention regime (~600 Kbps/flow against Mbps-class targets).
   cfg.bottleneck = DataRate::kbps(600 * cell.flows);
   cfg.media_duration = media;
-  cfg.fan_out_shards = shards;
   return cfg;
 }
 
@@ -92,11 +76,11 @@ void sample_session(runner::SessionContext& ctx, const std::string& key,
 
 /// ABR-off invisibility gate (CI perf-smoke): A = ABR fully disabled,
 /// B = shadow-armed adapters + feedback accounting. Returns the exit code.
-int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
-  const auto make_task = [shards](bool armed) {
-    return [shards, armed](runner::SessionContext& ctx) {
+int run_gate(double gate, int rounds, const std::string& out_path) {
+  const auto make_task = [](bool armed) {
+    return [armed](runner::SessionContext& ctx) {
       Cell cell{3, armed, "gate"};
-      core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10), shards);
+      core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10));
       cfg.abr_shadow = true;  // armed adapters never apply their decisions
       const auto r = core::run_fairness_session(cfg, ctx.seed);
       ctx.sample("gate.jain", r.jain_index);
@@ -161,11 +145,10 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::double_flag(argc, argv, "--gate", 0.0);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
-  const std::string out_path = flag_string(argc, argv, "--out", "bench_fairness.report.json");
-  if (gate > 0.0) return run_gate(gate, rounds, shards, out_path);
+  const std::string out_path = vcb::string_flag(argc, argv, "--out", "bench_fairness.report.json");
+  if (gate > 0.0) return run_gate(gate, rounds, out_path);
 
   vcb::banner("Competing-flow fairness — shared bottleneck, client ABR vs platform policy",
               paper);
@@ -186,9 +169,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, media, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
-    const core::FairnessBenchmarkConfig cfg = cell_config(c, media, shards);
+    const core::FairnessBenchmarkConfig cfg = cell_config(c, media);
     const auto r = core::run_fairness_session(cfg, ctx.seed);
     sample_session(ctx, c.key, r);
   };
@@ -233,8 +216,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
+  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
   std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
               serial.wall_seconds, report.wall_seconds,
               report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);

@@ -11,16 +11,15 @@
 // shape `vcbench_cli report --cdf` renders).
 //
 // The sweep runs on runner::ExperimentRunner once at 1 thread and once at 8;
-// the aggregate reports must be bit-identical, and `--shards K` (intra-
-// session relay fan-out sharding) must not change a byte either — faulted
-// sessions obey the same determinism contract as healthy ones (exit 1).
+// the aggregate reports must be bit-identical — faulted sessions obey the
+// same determinism contract as healthy ones (exit 1).
 //
 // `--gate <ratio>` switches to the empty-plan overhead check CI's perf-smoke
 // job runs: interleaved A/B rounds of the same healthy session with no plan
 // vs an armed-but-empty FaultPlan. The two aggregate reports must be
 // byte-identical (exit 1) and best-of-rounds wall clock may not regress
 // below the gate ratio (e.g. --gate 0.98 = "an installed empty plan costs
-// <= 2%", exit 3). Best-of-rounds for the same reason as bench_shard_fanout's
+// <= 2%", exit 3). Best-of-rounds for the same reason as bench_relay_fanout's
 // trace gate: scheduler noise only ever adds time.
 #include <algorithm>
 #include <cstdio>
@@ -44,20 +43,6 @@ struct Cell {
   std::uint64_t platform_seed = 0;
   std::string key;  // e.g. "Zoom/out3s"
 };
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 core::FaultRecoveryConfig base_config(SimDuration session_duration) {
   core::FaultRecoveryConfig cfg;
@@ -103,13 +88,12 @@ void sample_quantiles(runner::SessionContext& ctx, const std::string& base,
 
 /// Empty-plan overhead gate (CI perf-smoke): A = no plan installed at all,
 /// B = armed-but-empty plan. Returns the process exit code.
-int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
+int run_gate(double gate, int rounds, const std::string& out_path) {
   const SimDuration session_duration = seconds(12);
-  const auto make_task = [shards, session_duration](bool inject) {
-    return [shards, session_duration, inject](runner::SessionContext& ctx) {
+  const auto make_task = [session_duration](bool inject) {
+    return [session_duration, inject](runner::SessionContext& ctx) {
       core::FaultRecoveryConfig cfg = base_config(session_duration);
       cfg.platform = vcb::all_platforms()[ctx.task_index % 3];
-      cfg.fan_out_shards = shards;
       cfg.seed = ctx.seed;
       cfg.inject = inject;
       cfg.use_custom_plan = true;  // empty custom plan: arms, schedules nothing
@@ -172,12 +156,11 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::double_flag(argc, argv, "--gate", 0.0);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
   const std::string out_path =
-      flag_string(argc, argv, "--out", "bench_fault_recovery.report.json");
-  if (gate > 0.0) return run_gate(gate, rounds, shards, out_path);
+      vcb::string_flag(argc, argv, "--out", "bench_fault_recovery.report.json");
+  if (gate > 0.0) return run_gate(gate, rounds, out_path);
 
   vcb::banner("Fault recovery — relay crash mid-call, outage sweep", paper);
 
@@ -185,7 +168,7 @@ int main(int argc, char** argv) {
   // with a scripted FaultPlan (see FaultPlan::from_json for the schema).
   fault::FaultPlan custom_plan;
   bool use_custom_plan = false;
-  const std::string plan_path = flag_string(argc, argv, "--plan", "");
+  const std::string plan_path = vcb::string_flag(argc, argv, "--plan", "");
   if (!plan_path.empty()) {
     std::ifstream in{plan_path, std::ios::binary};
     if (!in) {
@@ -210,10 +193,10 @@ int main(int argc, char** argv) {
   // replaces the default rules. The serial and 8-thread sweeps write to
   // DIR/t1 and DIR/t8, and every timeline file must be byte-identical
   // between them — same contract as the aggregate reports.
-  const std::string timeline_dir = flag_string(argc, argv, "--timeline", "");
+  const std::string timeline_dir = vcb::string_flag(argc, argv, "--timeline", "");
   std::vector<health::SloRule> slo_rules;
   if (!timeline_dir.empty()) slo_rules = default_slo_rules();
-  const std::string slo_path = flag_string(argc, argv, "--slo", "");
+  const std::string slo_path = vcb::string_flag(argc, argv, "--slo", "");
   if (!slo_path.empty()) {
     std::ifstream in{slo_path, std::ios::binary};
     if (!in) {
@@ -250,7 +233,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, session_duration, shards, &custom_plan,
+  const auto task = [&cells, session_duration, &custom_plan,
                      use_custom_plan](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::FaultRecoveryConfig cfg = base_config(session_duration);
@@ -258,7 +241,6 @@ int main(int argc, char** argv) {
     cfg.outage_duration = c.outage;
     cfg.custom_plan = custom_plan;
     cfg.use_custom_plan = use_custom_plan;
-    cfg.fan_out_shards = shards;
     cfg.seed = ctx.seed ^ c.platform_seed;
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;
@@ -374,8 +356,7 @@ int main(int argc, char** argv) {
                 mismatches == 0 ? "yes" : "NO — determinism regression!");
     if (mismatches > 0) identical = false;
   }
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
+  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
   std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
               serial.wall_seconds, report.wall_seconds,
               report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);

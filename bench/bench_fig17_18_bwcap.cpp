@@ -10,8 +10,7 @@
 // cell is an independent capped session (core::run_bwcap_session), executed
 // once on one thread and once on eight. The two aggregate reports must be
 // bit-identical (the runner's determinism contract); the wall-clock ratio is
-// the measured parallel speedup on this machine. `--shards K` forwards
-// intra-session relay fan-out sharding, which must not change a byte either.
+// the measured parallel speedup on this machine.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,7 +34,6 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   vcb::banner("Figs 17-18 — streaming under bandwidth constraints", paper);
 
   const std::vector<DataRate> caps = {DataRate::kbps(250),  DataRate::kbps(500),
@@ -57,7 +55,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, media_duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::BwCapBenchmarkConfig cfg;
     cfg.platform = c.id;
@@ -68,7 +66,6 @@ int main(int argc, char** argv) {
     cfg.padding = 16;
     cfg.fps = 10.0;
     cfg.metric_stride = 5;
-    cfg.fan_out_shards = shards;
     const auto r = core::run_bwcap_session(cfg, ctx.seed ^ c.platform_seed);
     if (r.has_video_qoe) {
       ctx.sample(c.key + ".psnr", r.psnr);
@@ -107,8 +104,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
+  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
   std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
               serial.wall_seconds, report.wall_seconds,
               report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);

@@ -10,8 +10,7 @@
 //
 // The sweep (platform × shaper profile × outage plan) runs on
 // runner::ExperimentRunner once at 1 thread and once at 8; the aggregate
-// reports must be bit-identical, and `--shards K` (relay fan-out sharding)
-// must not change a byte either (exit 1).
+// reports must be bit-identical (exit 1).
 //
 // `--gate <mae_fps>` switches to the accuracy gate CI's perf-smoke job runs:
 // scripted-outage scenes across all three platforms, pooled. Frame-rate MAE
@@ -46,28 +45,12 @@ struct Cell {
   std::string key;  // e.g. "Zoom/dsl3m/out6s2s"
 };
 
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-core::QoeInferBenchmarkConfig cell_config(const Cell& c, SimDuration media_duration,
-                                          int shards) {
+core::QoeInferBenchmarkConfig cell_config(const Cell& c, SimDuration media_duration) {
   core::QoeInferBenchmarkConfig cfg;
   cfg.platform = c.id;
   cfg.shaper = c.shaper;
   cfg.outages = c.scene->outages;
   cfg.media_duration = media_duration;
-  cfg.fan_out_shards = shards;
   return cfg;
 }
 
@@ -87,7 +70,7 @@ void sample_cell(runner::SessionContext& ctx, const std::string& key,
 /// Accuracy gate (CI perf-smoke): scripted-outage scenes on every platform,
 /// pooled MAE / precision / recall against hard thresholds, plus the usual
 /// 1-vs-8-thread byte identity. Returns the process exit code.
-int run_gate(double mae_gate, int shards, const std::string& out_path) {
+int run_gate(double mae_gate, const std::string& out_path) {
   const SimDuration media_duration = seconds(16);
   static const Scene kGateScene{"out6s2s", {{seconds(6), seconds(2)}}};
 
@@ -104,10 +87,10 @@ int run_gate(double mae_gate, int shards, const std::string& out_path) {
 
   // The gate needs the raw per-session numbers, not just the aggregate
   // moments — collect them under stable per-cell keys and read them back.
-  const auto task = [&cells, media_duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index % cells.size()];
     const auto r = core::run_qoe_inference_session(
-        cell_config(c, media_duration, shards), ctx.seed ^ c.cell_seed);
+        cell_config(c, media_duration), ctx.seed ^ c.cell_seed);
     sample_cell(ctx, c.key, r);
     sample_cell(ctx, "pooled", r);
   };
@@ -165,11 +148,10 @@ int run_gate(double mae_gate, int shards, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::double_flag(argc, argv, "--gate", 0.0);
   const std::string out_path =
-      flag_string(argc, argv, "--out", "bench_qoe_inference.report.json");
-  if (gate > 0.0) return run_gate(gate, shards, out_path);
+      vcb::string_flag(argc, argv, "--out", "bench_qoe_inference.report.json");
+  if (gate > 0.0) return run_gate(gate, out_path);
 
   vcb::banner("Header-free QoE inference — estimate vs ground truth", paper);
 
@@ -205,9 +187,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, media_duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
-    core::QoeInferBenchmarkConfig cfg = cell_config(c, media_duration, shards);
+    core::QoeInferBenchmarkConfig cfg = cell_config(c, media_duration);
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;
     const auto r = core::run_qoe_inference_session(cfg, ctx.seed ^ c.cell_seed);
@@ -245,8 +227,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
+  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
   std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
               serial.wall_seconds, report.wall_seconds,
               report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);

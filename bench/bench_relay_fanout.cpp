@@ -1,33 +1,25 @@
-// Intra-session relay fan-out A/B benchmark (PR 3).
+// Relay fan-out observability-overhead benchmark.
 //
 // One meeting, N participants (N >= 20), every participant streaming video
 // through a single RelayServer — the fan-out-bound regime where one ingest
-// costs O(N) copy/scale/stage work. Three execution modes run interleaved
-// (A/B/A/B..., defeating thermal and noise drift) and report median
-// wall-clock over the rounds:
-//   serial  — K=0, the plain fan-out loop;
-//   staged  — K=4 with no pool: the sharded staging/merge path, inline on
-//             the event-loop thread (isolates the staging overhead);
-//   pooled  — K=4 on a ShardPool with auto-sized workers (0 on a 1-core
-//             machine, where it degenerates to `staged`).
-// Every mode's delivery transcript is FNV-hashed and must match `serial`
-// byte-for-byte — the determinism contract, enforced here with real traffic.
+// costs O(N) copy/scale work. Every mode below runs interleaved
+// (A/B/A/B..., defeating thermal and noise drift) and reports median
+// wall-clock over the rounds; `serial` is the plain fan-out with nothing
+// attached. Every mode's delivery transcript is FNV-hashed and must match
+// `serial` byte-for-byte (exit 1) — the determinism contract, enforced here
+// with real traffic. `--out <path>` writes the machine-readable report
+// (default BENCH_PR3.json in the CWD).
 //
-// `--gate <ratio>` makes the binary exit non-zero when median(serial) /
-// median(staged) falls below the ratio (e.g. --gate 0.90 fails a >10%
-// staging regression); CI's perf-smoke job runs exactly that. `--out <path>`
-// writes the machine-readable report (default BENCH_PR3.json in the CWD).
-//
-// A fourth interleaved mode, `traced-off`, re-runs the serial configuration
-// with a flight-recorder Tracer attached but disabled — the state every
+// The `traced-off` mode re-runs the serial configuration with a
+// flight-recorder Tracer attached but disabled — the state every
 // instrumented hot path pays for when tracing is compiled in but off (one
 // pointer load + branch per record site). `--trace-gate <ratio>` fails the
-// run when median(serial) / median(traced-off) falls below the ratio;
+// run (exit 3) when best(serial) / best(traced-off) falls below the ratio;
 // CI runs --trace-gate 0.98, the "tracing off costs <= 2%" contract. The
 // in-process A/B comparison is deliberate: absolute baselines are too noisy
-// on shared CI runners (see the PR3 comments above).
+// on shared CI runners.
 //
-// Two more interleaved modes gate the PR 9 observability layer the same way:
+// Two more interleaved modes gate the metrics/timeline layer the same way:
 // `metrics` attaches a MetricsRegistry to the network/relay (the A side),
 // and `timeline-off` additionally arms a MetricsTimeline that is disabled —
 // which must schedule nothing at all (structural zero, like an armed empty
@@ -38,10 +30,6 @@
 // zero-rule HealthMonitor observing an *enabled* sampling timeline leaves
 // the exported timeline bytes identical to an unobserved run (exit 5) —
 // the armed-but-empty monitor contract.
-//
-// Compiling with -DVC_BENCH_SERIAL_ONLY builds only the serial mode against
-// a tree that predates the sharding API — that is how the "before" column of
-// the checked-in BENCH_PR3.json was measured at the parent commit.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -51,15 +39,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "platform/relay.h"
-#include "runner/experiment_runner.h"
-#ifndef VC_BENCH_SERIAL_ONLY
 #include "common/metrics.h"
 #include "common/metrics_timeline.h"
-#include "common/shard_pool.h"
 #include "common/tracer.h"
 #include "health/health_monitor.h"
-#endif
+#include "platform/relay.h"
+#include "runner/experiment_runner.h"
 
 namespace {
 
@@ -73,8 +58,6 @@ struct TrialResult {
 
 struct Mode {
   std::string name;
-  int shards = 0;
-  bool use_pool = false;
   bool traced = false;    // attach a disabled Tracer to every hot path
   bool metered = false;   // attach a MetricsRegistry to network + relay
   bool timeline = false;  // additionally arm a disabled MetricsTimeline
@@ -88,7 +71,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   h *= 1099511628211ULL;
 }
 
-#ifndef VC_BENCH_SERIAL_ONLY
 /// Observability side-channel for a trial. attach_metrics alone is the A
 /// side of the timeline gate; arm_disabled adds an armed-but-disabled
 /// sampler (the B side, which must schedule nothing); sample arms an
@@ -102,17 +84,10 @@ struct TimelineProbe {
   std::string timeline_json;
 };
 
-TrialResult run_trial(int n, int frames, int shards, ShardPool* pool, Tracer* tracer,
-                      TimelineProbe* probe = nullptr) {
-#else
-TrialResult run_trial(int n, int frames, int /*shards*/, void* /*pool*/, void* /*tracer*/,
-                      void* /*probe*/ = nullptr) {
-#endif
+TrialResult run_trial(int n, int frames, Tracer* tracer, TimelineProbe* probe = nullptr) {
   net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 99};
   platform::RelayServer relay{net, "relay", GeoPoint{38.9, -77.4}, 8801,
                               platform::RelayServer::ForwardingDelay{millis(2), 2.0}};
-#ifndef VC_BENCH_SERIAL_ONLY
-  relay.set_fan_out_sharding(pool, shards);
   if (tracer != nullptr) {
     // Attached-but-disabled: the exact state the <=2% overhead gate measures.
     net.set_tracer(tracer);
@@ -134,7 +109,6 @@ TrialResult run_trial(int n, int frames, int /*shards*/, void* /*pool*/, void* /
     // for the byte-identity probe.
     timeline.arm(net.loop(), registry, SimTime::zero(), SimTime::zero() + seconds(10));
   }
-#endif
 
   TrialResult out{};
   out.digest = 14695981039346656037ULL;  // FNV offset basis
@@ -192,27 +166,11 @@ TrialResult run_trial(int n, int frames, int /*shards*/, void* /*pool*/, void* /
   const auto t1 = std::chrono::steady_clock::now();
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
   out.media_forwarded = relay.stats().media_forwarded;
-#ifndef VC_BENCH_SERIAL_ONLY
   if (probe != nullptr && probe->sample) {
     timeline.finalize();
     probe->timeline_json = timeline.to_json();
   }
-#endif
   return out;
-}
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
 }
 
 }  // namespace
@@ -221,69 +179,45 @@ int main(int argc, char** argv) {
   const int n = std::max(20, vcb::int_flag(argc, argv, "--n", 48));
   const int frames = vcb::int_flag(argc, argv, "--packets", 40);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 7));
-  const int shards = std::max(1, vcb::int_flag(argc, argv, "--shards", 4));
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
-  const double trace_gate = flag_double(argc, argv, "--trace-gate", 0.0);
-  const double timeline_gate = flag_double(argc, argv, "--timeline-gate", 0.0);
-  const std::string out_path = flag_string(argc, argv, "--out", "BENCH_PR3.json");
+  const double trace_gate = vcb::double_flag(argc, argv, "--trace-gate", 0.0);
+  const double timeline_gate = vcb::double_flag(argc, argv, "--timeline-gate", 0.0);
+  const std::string out_path = vcb::string_flag(argc, argv, "--out", "BENCH_PR3.json");
   const std::string timeline_out =
-      flag_string(argc, argv, "--timeline-out", "BENCH_PR9_timeline_gate.json");
+      vcb::string_flag(argc, argv, "--timeline-out", "BENCH_PR9_timeline_gate.json");
 
-  std::printf("relay fan-out A/B: n=%d frames=%d rounds=%d shards=%d gate=%.2f trace-gate=%.2f "
-              "timeline-gate=%.2f\n",
-              n, frames, rounds, shards, gate, trace_gate, timeline_gate);
+  std::printf("relay fan-out A/B: n=%d frames=%d rounds=%d trace-gate=%.2f timeline-gate=%.2f\n",
+              n, frames, rounds, trace_gate, timeline_gate);
 
-  auto make_mode = [](const char* name, int mode_shards, bool use_pool, bool traced, bool metered,
-                      bool timeline) {
+  auto make_mode = [](const char* name, bool traced, bool metered, bool timeline) {
     Mode m;
     m.name = name;
-    m.shards = mode_shards;
-    m.use_pool = use_pool;
     m.traced = traced;
     m.metered = metered;
     m.timeline = timeline;
     return m;
   };
   std::vector<Mode> modes;
-  modes.push_back(make_mode("serial", 0, false, false, false, false));
-#ifndef VC_BENCH_SERIAL_ONLY
-  modes.push_back(make_mode("traced-off", 0, false, true, false, false));
-  modes.push_back(make_mode("metrics", 0, false, false, true, false));
-  modes.push_back(make_mode("timeline-off", 0, false, false, true, true));
-  modes.push_back(make_mode("staged", shards, false, false, false, false));
-  modes.push_back(make_mode("pooled", shards, true, false, false, false));
-  const int workers = ShardPool::auto_workers(shards);
-  ShardPool pool{workers};
+  modes.push_back(make_mode("serial", false, false, false));
+  modes.push_back(make_mode("traced-off", true, false, false));
+  modes.push_back(make_mode("metrics", false, true, false));
+  modes.push_back(make_mode("timeline-off", false, true, true));
   Tracer tracer;  // never enabled: measures the compiled-in-but-off cost
-  std::printf("pooled mode: %d worker thread(s) (auto for %d shards on this machine)\n", workers,
-              shards);
-#endif
-
-  // One untimed warm-up per mode, then interleaved timed rounds.
-  for (auto& m : modes) {
-#ifndef VC_BENCH_SERIAL_ONLY
+  auto run_mode = [&](const Mode& m) {
     TimelineProbe probe;
     probe.attach_metrics = m.metered;
     probe.arm_disabled = m.timeline;
-    const TrialResult warm = run_trial(n, frames, m.shards, m.use_pool ? &pool : nullptr,
-                                       m.traced ? &tracer : nullptr, &probe);
-#else
-    const TrialResult warm = run_trial(n, frames, m.shards, nullptr, nullptr);
-#endif
+    return run_trial(n, frames, m.traced ? &tracer : nullptr, &probe);
+  };
+
+  // One untimed warm-up per mode, then interleaved timed rounds.
+  for (auto& m : modes) {
+    const TrialResult warm = run_mode(m);
     m.digest = warm.digest;
     m.media_forwarded = warm.media_forwarded;
   }
   for (int r = 0; r < rounds; ++r) {
     for (auto& m : modes) {
-#ifndef VC_BENCH_SERIAL_ONLY
-      TimelineProbe probe;
-      probe.attach_metrics = m.metered;
-      probe.arm_disabled = m.timeline;
-      const TrialResult t = run_trial(n, frames, m.shards, m.use_pool ? &pool : nullptr,
-                                      m.traced ? &tracer : nullptr, &probe);
-#else
-      const TrialResult t = run_trial(n, frames, m.shards, nullptr, nullptr);
-#endif
+      const TrialResult t = run_mode(m);
       m.seconds.push_back(t.seconds);
       if (t.digest != m.digest) {
         std::printf("FAIL: %s digest unstable across rounds\n", m.name.c_str());
@@ -292,25 +226,21 @@ int main(int argc, char** argv) {
     }
   }
 
-#ifndef VC_BENCH_SERIAL_ONLY
   // Armed-empty HealthMonitor byte-identity: an enabled sampling timeline
   // exports the same bytes whether or not a zero-rule monitor is observing
   // it (and the deliveries stay identical too, via the digest check below).
   TimelineProbe plain;
   plain.sample = true;
-  const TrialResult sampled_plain = run_trial(n, frames, 0, nullptr, nullptr, &plain);
+  const TrialResult sampled_plain = run_trial(n, frames, nullptr, &plain);
   health::HealthMonitor empty_monitor;
   TimelineProbe observed;
   observed.sample = true;
   observed.monitor = &empty_monitor;
-  const TrialResult sampled_observed = run_trial(n, frames, 0, nullptr, nullptr, &observed);
+  const TrialResult sampled_observed = run_trial(n, frames, nullptr, &observed);
   const bool monitor_invisible = plain.timeline_json == observed.timeline_json &&
                                  !plain.timeline_json.empty() &&
                                  sampled_plain.digest == sampled_observed.digest &&
                                  sampled_plain.digest == modes[0].digest;
-#else
-  const bool monitor_invisible = true;
-#endif
 
   bool identical = true;
   for (const auto& m : modes) {
@@ -320,7 +250,7 @@ int main(int argc, char** argv) {
   }
 
   const std::int64_t ingests = static_cast<std::int64_t>(n) * frames;
-  std::string json = "{\n  \"benchmark\": \"relay_shard_fanout\",\n";
+  std::string json = "{\n  \"benchmark\": \"relay_fanout\",\n";
   json += "  \"n_participants\": " + std::to_string(n) + ",\n";
   json += "  \"ingests_per_trial\": " + std::to_string(ingests) + ",\n";
   json += "  \"media_forwarded_per_trial\": " + std::to_string(modes[0].media_forwarded) + ",\n";
@@ -328,7 +258,6 @@ int main(int argc, char** argv) {
 
   TextTable table{{"mode", "median (ms)", "ingests/s", "vs serial"}};
   double serial_median = 0.0;
-  double staged_speedup = 1.0;
   double traced_speedup = 1.0;
   double timeline_speedup = 1.0;
   double metrics_best = 0.0;
@@ -341,7 +270,6 @@ int main(int argc, char** argv) {
     const double med = median(m.seconds);
     if (i == 0) serial_median = med;
     const double speedup = med > 0 ? serial_median / med : 0.0;
-    if (m.name == "staged") staged_speedup = speedup;
     if (m.name == "traced-off") {
       // Gate on best-of-rounds, not medians: scheduler noise only ever adds
       // time, so min/min isolates the intrinsic cost of the disabled hooks
@@ -366,11 +294,10 @@ int main(int argc, char** argv) {
   json += "  ],\n";
   json += std::string{"  \"deliveries_byte_identical\": "} + (identical ? "true" : "false") +
           ",\n";
-  char tail[192];
+  char tail[128];
   std::snprintf(tail, sizeof(tail),
-                "  \"gate\": %.2f,\n  \"staged_speedup\": %.3f,\n"
-                "  \"trace_gate\": %.2f,\n  \"traced_off_speedup\": %.3f\n}\n",
-                gate, staged_speedup, trace_gate, traced_speedup);
+                "  \"trace_gate\": %.2f,\n  \"traced_off_speedup\": %.3f\n}\n", trace_gate,
+                traced_speedup);
   json += tail;
 
   // The disabled-sampler gate compares against the `metrics` mode, not
@@ -401,10 +328,6 @@ int main(int argc, char** argv) {
   }
 
   if (!identical) return 1;
-  if (gate > 0.0 && staged_speedup < gate) {
-    std::printf("FAIL: staged fan-out speedup %.3fx below gate %.2fx\n", staged_speedup, gate);
-    return 2;
-  }
   if (trace_gate > 0.0 && traced_speedup < trace_gate) {
     std::printf("FAIL: disabled-tracer overhead ratio %.3fx below trace gate %.2fx\n",
                 traced_speedup, trace_gate);

@@ -17,7 +17,7 @@
 //       first half / best of the second half, on calibration-normalized
 //       times; fails when any leg's drift falls below the ratio *relative
 //       to the median drift across legs* (CI runs --gate 0.80). Best-of-half
-//       rather than medians for the same reason bench_shard_fanout's trace
+//       rather than medians for the same reason bench_relay_fanout's trace
 //       gate uses best-of-rounds: scheduler noise only ever adds time, so
 //       min/min isolates intrinsic drift — a real leak slows even the best
 //       epoch. Relative rather than absolute because sustained co-tenant
@@ -487,20 +487,6 @@ void append_stats(std::string& out, const char* name, const RunningStats& s, boo
   out += last ? "\n" : ",\n";
 }
 
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -508,9 +494,9 @@ int main(int argc, char** argv) {
   const int codec_frames = std::max(8, vcb::int_flag(argc, argv, "--codec-frames", 60));
   const int audio_frames = std::max(8, vcb::int_flag(argc, argv, "--audio-frames", 200));
   const int relay_n = std::max(8, vcb::int_flag(argc, argv, "--relay-n", 24));
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
-  const std::string baseline_path = flag_string(argc, argv, "--baseline", "");
-  const std::string out_path = flag_string(argc, argv, "--out", "BENCH_SOAK.json");
+  const double gate = vcb::double_flag(argc, argv, "--gate", 0.0);
+  const std::string baseline_path = vcb::string_flag(argc, argv, "--baseline", "");
+  const std::string out_path = vcb::string_flag(argc, argv, "--out", "BENCH_SOAK.json");
 
   std::printf("soak: %d epochs (codec %d frames, audio %d frames, relay n=%d), backend=%s, "
               "gate=%.2f\n",

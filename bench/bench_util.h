@@ -33,6 +33,22 @@ inline int int_flag(int argc, char** argv, const char* name, int fallback) {
   return fallback;
 }
 
+/// `--name <double>` style flag; returns `fallback` when absent.
+inline double double_flag(int argc, char** argv, const char* name, double fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
+  }
+  return fallback;
+}
+
+/// `--name <text>` style flag; returns `fallback` when absent.
+inline std::string string_flag(int argc, char** argv, const char* name, const char* fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
+  }
+  return fallback;
+}
+
 inline const std::vector<vc::platform::PlatformId>& all_platforms() {
   static const std::vector<vc::platform::PlatformId> kAll = {
       vc::platform::PlatformId::kZoom,

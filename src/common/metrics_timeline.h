@@ -8,7 +8,7 @@
 //  1. Structurally zero cost when off. arm() on a disabled timeline schedules
 //     nothing at all — same contract as an armed-but-empty fault::FaultPlan —
 //     so the disabled-sampler overhead is gated at ≤2% in CI
-//     (bench_shard_fanout --timeline-gate).
+//     (bench_relay_fanout --timeline-gate).
 //  2. Zero allocation in steady state. Column rings are preallocated when a
 //     column is first discovered; subsequent samples are a pure merge-walk of
 //     the registry's name-sorted maps against the name-sorted column lists.
@@ -18,8 +18,8 @@
 //  3. Deterministic output. Sampling reads sim time and registry state only;
 //     columns are emitted in byte-wise name order; counters (and histogram
 //     counts) are delta-encoded against an eviction-maintained base. The
-//     exported JSON is byte-identical at any runner thread count × fan-out
-//     shard count K (tests/determinism/test_timeline_determinism.cpp).
+//     exported JSON is byte-identical at any runner thread count
+//     (tests/determinism/test_timeline_determinism.cpp).
 //
 // When the ring wraps, the oldest samples are dropped (flight-recorder
 // semantics, like the Tracer): evicted counter deltas fold into each column's

@@ -154,8 +154,7 @@ BwCapBenchmarkResult run_bwcap_benchmark(const BwCapBenchmarkConfig& config) {
   testbed::CloudTestbed bed{config.seed};
   auto platform = platform::make_platform(
       config.platform, bed.network(),
-      platform::PlatformConfig{.seed = config.seed ^ 0xCAB,
-                               .fan_out_shards = config.fan_out_shards});
+      platform::PlatformConfig{.seed = config.seed ^ 0xCAB});
 
   net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
   net::Host& rx_vm = bed.create_vm(testbed::site_by_name(config.receiver_site), 9);
@@ -185,7 +184,7 @@ BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::ui
   testbed::CloudTestbed bed{seed};
   auto platform = platform::make_platform(
       config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0xCAB, .fan_out_shards = config.fan_out_shards});
+      platform::PlatformConfig{.seed = seed ^ 0xCAB});
   net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
   net::Host& rx_vm = bed.create_vm(testbed::site_by_name(config.receiver_site), 9);
   return run_one_session(config, bed, *platform, host_vm, rx_vm, seed ^ 0xFEED, seed);

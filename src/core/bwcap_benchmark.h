@@ -30,9 +30,6 @@ struct BwCapBenchmarkConfig {
   double fps = 10.0;
   int metric_stride = 4;
   std::uint64_t seed = 5;
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
-  /// 0 = serial, any K is byte-identical.
-  int fan_out_shards = 0;
 };
 
 struct BwCapBenchmarkResult {

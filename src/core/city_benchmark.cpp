@@ -24,8 +24,7 @@ CityScaleResult run_city_scale_benchmark(const CityScaleConfig& config) {
   testbed::CloudTestbed bed{config.seed};
   std::unique_ptr<platform::BasePlatform> platform =
       platform::make_platform(config.platform, bed.network(),
-                              platform::PlatformConfig{.seed = config.seed ^ 0xC17,
-                                                       .fan_out_shards = config.fan_out_shards});
+                              platform::PlatformConfig{.seed = config.seed ^ 0xC17});
 
   MetricsRegistry local_metrics;
   MetricsRegistry& reg = config.metrics != nullptr ? *config.metrics : local_metrics;

@@ -117,7 +117,6 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
 
     platform::PlatformConfig pc;
     pc.seed = seed ^ (0xCABu + static_cast<std::uint64_t>(i) * 0x9E37u);
-    pc.fan_out_shards = config.fan_out_shards;
     flow.platform = platform::make_platform(fc.platform, bed.network(), pc);
 
     net::Host& sender_vm = bed.create_vm(testbed::site_by_name(fc.sender_site), 10 + i);

@@ -19,8 +19,7 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   testbed::CloudTestbed bed{config.seed};
   std::unique_ptr<platform::BasePlatform> platform =
       platform::make_platform(config.platform, bed.network(),
-                              platform::PlatformConfig{.seed = config.seed ^ 0xABC,
-                                                       .fan_out_shards = config.fan_out_shards});
+                              platform::PlatformConfig{.seed = config.seed ^ 0xABC});
 
   // Reconnect instruments (client.disconnects / client.reconnects /
   // client.time_to_reconnect_ms) are harvested from a registry; when the

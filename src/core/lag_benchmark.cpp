@@ -45,8 +45,7 @@ LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
   if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
   testbed::CloudTestbed bed{config.seed};
   std::unique_ptr<platform::BasePlatform> platform;
-  const platform::PlatformConfig platform_cfg{.seed = config.seed ^ 0xABC,
-                                              .fan_out_shards = config.fan_out_shards};
+  const platform::PlatformConfig platform_cfg{.seed = config.seed ^ 0xABC};
   if (config.platform == platform::PlatformId::kWebex &&
       config.webex_tier == platform::WebexTier::kPaid) {
     platform = std::make_unique<platform::WebexPlatform>(bed.network(), platform_cfg,

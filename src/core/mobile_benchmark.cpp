@@ -45,7 +45,7 @@ MobileSessionResult run_mobile_session(const MobileBenchmarkConfig& config, std:
   testbed::CloudTestbed bed{seed};
   auto platform = platform::make_platform(
       config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0x303, .fan_out_shards = config.fan_out_shards});
+      platform::PlatformConfig{.seed = seed ^ 0x303});
 
   net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 8);
   net::Host& s10_host = bed.create_vm(testbed::residential_us_east(), 0);
@@ -132,7 +132,7 @@ ScaleSessionResult run_scale_session(const ScaleBenchmarkConfig& config, std::ui
   testbed::CloudTestbed bed{seed};
   auto platform = platform::make_platform(
       config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0x404, .fan_out_shards = config.fan_out_shards});
+      platform::PlatformConfig{.seed = seed ^ 0x404});
   if (config.tracer != nullptr) {
     bed.network().set_tracer(config.tracer);
     platform->set_tracer(config.tracer);

@@ -24,9 +24,6 @@ struct MobileBenchmarkConfig {
   int repetitions = 3;
   SimDuration duration = seconds(60);
   std::uint64_t seed = 9;
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
-  /// 0 = serial, any K is byte-identical.
-  int fan_out_shards = 0;
 };
 
 struct MobileDeviceResult {
@@ -73,9 +70,6 @@ struct ScaleBenchmarkConfig {
   int repetitions = 2;
   SimDuration duration = seconds(45);
   std::uint64_t seed = 13;
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
-  /// 0 = serial, any K is byte-identical.
-  int fan_out_shards = 0;
   /// Optional flight recorder wired into the event loop, links/shapers and
   /// relays (see LagBenchmarkConfig::tracer).
   Tracer* tracer = nullptr;

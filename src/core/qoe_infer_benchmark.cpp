@@ -67,7 +67,7 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
   testbed::CloudTestbed bed{seed};
   auto platform = platform::make_platform(
       config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0x1FE2, .fan_out_shards = config.fan_out_shards});
+      platform::PlatformConfig{.seed = seed ^ 0x1FE2});
   net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
   net::Host& rx_vm = bed.create_vm(testbed::site_by_name(config.receiver_site), 9);
 

@@ -73,8 +73,7 @@ class RelayAllocator {
 
   /// Relay by creation index (0-based), or nullptr when out of range. The
   /// fault subsystem addresses crash targets this way: creation order is
-  /// deterministic, so "relay 0" names the same server at every thread and
-  /// shard count.
+  /// deterministic, so "relay 0" names the same server at every thread count.
   RelayServer* relay_at(std::size_t index) {
     return index < relays_.size() ? relays_[index].get() : nullptr;
   }
@@ -87,14 +86,6 @@ class RelayAllocator {
   /// Every relay allocated from now on records into `tracer` (borrowed;
   /// nullptr to stop). See RelayServer::set_tracer for the record families.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
-  /// Every relay created from now on shards its fan-out `shards` ways on
-  /// `pool` (borrowed; may be nullptr = shards run inline). Results are
-  /// byte-identical at any setting — see RelayServer::set_fan_out_sharding.
-  void set_fan_out_sharding(ShardPool* pool, int shards) {
-    fan_out_pool_ = pool;
-    fan_out_shards_ = shards;
-  }
 
  private:
   RelayServer* new_relay(const Site& site);
@@ -111,8 +102,6 @@ class RelayAllocator {
   int relay_counter_ = 0;
   MetricsRegistry* metrics_ = nullptr;
   Tracer* tracer_ = nullptr;
-  ShardPool* fan_out_pool_ = nullptr;
-  int fan_out_shards_ = 0;
 };
 
 }  // namespace vc::platform

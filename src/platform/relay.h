@@ -11,25 +11,15 @@
 //   * answers probe packets (the tcpping analog) — ICMP is "blocked", like
 //     the real infrastructures.
 //
-// Fan-out sharding (PR 3): the per-receiver copy/scale/stage work of one
-// ingested packet is independent per Participant, so a relay can partition a
-// meeting's receivers into K contiguous join-order shards and run them on a
-// ShardPool. Shards stage their work instead of touching the event loop;
-// the caller then merges the staged work back in (shard index, then join
-// order within the shard) order — which, because the partition is
-// contiguous, is exactly the serial path's join order, so schedule_at
-// sequence, batch composition and every downstream tiebreak are
-// byte-identical to K=0. Combined with the one-draw-per-ingest jitter rule
-// (see forward_media) the sharded path is byte-identical at any K.
-//
-// The one-draw rule also restructures the serial hot path: every copy whose
-// FIFO floor permits it departs at the ingest's shared candidate tick, so
-// those copies — nearly all of them, in steady state — ride ONE ingest-wide
-// departure batch (one allocation, recycled after firing, and one scheduled
-// event per ingested packet) instead of a batch per destination. Floored
-// copies append to their destination's still-open batch from an earlier
-// ingest and schedule nothing; only the rare floored copy with no matching
-// open batch pays for a fresh per-destination batch and event.
+// Relay processing jitter is drawn once per ingested packet, not once per
+// copy (see forward_media). Every copy whose FIFO floor permits it departs
+// at the ingest's shared candidate tick, so those copies — nearly all of
+// them, in steady state — ride ONE ingest-wide departure batch (one
+// allocation, recycled after firing, and one scheduled event per ingested
+// packet) instead of a batch per destination. Floored copies append to
+// their destination's still-open batch from an earlier ingest and schedule
+// nothing; only the rare floored copy with no matching open batch pays for
+// a fresh per-destination batch and event.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +30,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/shard_pool.h"
 #include "common/tracer.h"
 #include "net/network.h"
 #include "platform/platform.h"
@@ -101,19 +90,6 @@ class RelayServer {
     return n;
   }
 
-  /// Shards this relay's media fan-out into `shards` contiguous join-order
-  /// partitions, executed on `pool` when one is given (pool == nullptr, or a
-  /// pool with zero workers, runs the shards inline on the event-loop thread
-  /// — same staged code path, no threads). shards <= 0 restores the plain
-  /// serial loop. The forwarding semantics — departure times, FIFO floors,
-  /// batch composition, event order, Stats, standard metrics — are identical
-  /// at every setting; only wall-clock and the shard-scoped metrics differ.
-  /// The pool is borrowed, not owned, and must outlive the relay (or be
-  /// detached by passing nullptr); several relays may share one pool because
-  /// fan-outs are dispatched one at a time from the single event-loop thread.
-  void set_fan_out_sharding(ShardPool* pool, int shards);
-  int fan_out_shards() const { return shards_; }
-
   /// Mirrors the Stats fields into `<prefix>.media_in`,
   /// `<prefix>.media_forwarded`, `<prefix>.peer_forwarded`,
   /// `<prefix>.probes_answered` and `<prefix>.control_forwarded` counters
@@ -122,27 +98,13 @@ class RelayServer {
   /// `<prefix>.departure_batch_pkts` (packets per scheduled departure event)
   /// histograms. Several relays may share one registry: their counts
   /// aggregate, which is exactly the infrastructure-wide view scalability
-  /// reports want. These metrics are part of the determinism contract: they
-  /// are byte-identical at every fan-out shard count.
+  /// reports want. These metrics are part of the determinism contract.
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "relay");
-
-  /// Execution-strategy observability, deliberately OUTSIDE the determinism
-  /// contract (like RunReport's threads/wall_seconds): per-shard forwarded
-  /// copy counters `<prefix>.shard<i>.fan_out` and a `<prefix>.shard_imbalance`
-  /// histogram (max−min copies across shards per sharded fan-out). These
-  /// depend on K by construction, so standard run reports must not include
-  /// them — hence the separate attach.
-  void attach_shard_metrics(MetricsRegistry& registry, const std::string& prefix = "relay");
 
   /// Flight-recorder hook (borrowed; nullptr detaches). Media ingests become
   /// `relay.ingest` spans (ingest time → shared candidate departure tick,
   /// value = participant copies), departure events `relay.depart` instants
-  /// (value = batch size), probe answers `relay.probe` instants — all on the
-  /// loop thread and byte-identical at every shard count K. When the tracer's
-  /// shard_detail flag is set, each sharded fan-out additionally records one
-  /// `relay.shard_merge` instant per shard (value = that shard's copies) —
-  /// K-dependent by construction, hence OUTSIDE the determinism contract,
-  /// like attach_shard_metrics.
+  /// (value = batch size), probe answers `relay.probe` instants.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Process crash: all meeting/participant/peer registrations are lost (a
@@ -175,8 +137,7 @@ class RelayServer {
   /// this relay's UDP socket, so a fleet::Trunk can model the inter-relay
   /// leg's capacity and propagation explicitly. Departure scheduling, FIFO
   /// floors and batch composition are untouched — the interception happens
-  /// after the batch is sealed, on the event-loop thread, which is what keeps
-  /// the trunked path inside the shard-determinism contract. An empty route
+  /// after the batch is sealed, at the departure event. An empty route
   /// map costs one branch per departure event (the fleet-of-1 gate's ≤2%
   /// budget). Passing a null `send` removes the route.
   void set_trunk_egress(net::Endpoint peer_endpoint, std::function<void(net::Packet)> send);
@@ -201,10 +162,7 @@ class RelayServer {
   /// delays never reorder a stream. Departures are therefore monotonic per
   /// destination, and at most one batch (the latest tick) is open at a time.
   /// Stored inline in the Participant/PeerLink it belongs to: the forwarding
-  /// loop already holds that record, so departure lookup costs nothing — and
-  /// under sharding it makes each destination's pipeline state owned by
-  /// exactly one shard (participants are partitioned), so shard workers
-  /// never share mutable state.
+  /// loop already holds that record, so departure lookup costs nothing.
   ///
   /// Semantic note: because the floor lives in the registration record, the
   /// FIFO guarantee is scoped to one registration. A participant that is
@@ -243,60 +201,17 @@ class RelayServer {
     std::vector<PeerLink> peers;
   };
 
-  /// A departure batch a shard opened but could not schedule (scheduling is
-  /// the caller's job, in deterministic merge order).
-  struct StagedBatch {
-    SimTime tick{};
-    std::shared_ptr<DepartureBatch> batch;
-  };
-  /// A packet a shard wants appended to an already-open batch. Appending
-  /// directly would race: the target can be a previous ingest's shared
-  /// candidate batch, which several shards' destinations reference at once.
-  /// Staging keeps the append on the merge step (loop thread), where shard
-  /// order reproduces the serial path's join-order append sequence.
-  struct StagedAppend {
-    DepartureBatch* target = nullptr;
-    net::Packet pkt;
-  };
-  /// Per-shard staging area, cacheline-isolated against false sharing.
-  /// Reused across fan-outs so the steady state allocates nothing.
-  struct alignas(64) ShardScratch {
-    std::vector<StagedBatch> staged;
-    std::vector<StagedAppend> appends;
-    /// This shard's slice of the ingest-wide candidate batch. Pre-seeded on
-    /// the loop thread before dispatch (workers never allocate batches) and
-    /// retained — emptied by the merge splice — across fan-outs.
-    std::shared_ptr<DepartureBatch> cand;
-    /// Destinations whose open-batch handle must be repointed to the spliced
-    /// ingest-wide batch at merge (workers only see their own slice).
-    std::vector<Departure*> cand_deps;
-    std::int64_t copies = 0;
-  };
-
   void on_packet(const net::Packet& pkt);
   void forward_media(Meeting& meeting, const net::Packet& pkt, bool from_peer);
-  /// Fans pkt out to all participants (serial or sharded per shards_),
-  /// returning the number of copies forwarded.
+  /// Fans pkt out to all participants in join order, returning the number of
+  /// copies forwarded. Each copy whose FIFO floor is below `candidate` rides
+  /// the ingest-wide candidate batch (one event for the whole fan-out); a
+  /// floored copy joins its destination's open batch at the floor tick, or
+  /// opens and schedules a fresh per-destination batch.
   std::int64_t fan_out_media(Meeting& meeting, const net::Packet& pkt, SimTime candidate);
-  /// The per-receiver loop body shared by the serial path and every shard:
-  /// copy/scale/floor/route for participants [begin, end), in join order.
-  /// Each copy takes exactly one of three routes:
-  ///   * floor < candidate — the common, unconstrained case: the copy departs
-  ///     at this ingest's shared candidate tick; `on_candidate(dep, pkt)`
-  ///     collects it into the ingest-wide batch (one event for the whole
-  ///     fan-out) and the caller repoints dep.open at that batch;
-  ///   * the destination's open batch is at the required tick —
-  ///     `on_append(batch, pkt)` joins it, never scheduling;
-  ///   * otherwise a fresh per-destination batch goes to `sink(tick, batch)`.
-  /// Returns the number of copies made.
-  template <class NewBatchSink, class OnCandidate, class OnAppend>
-  std::int64_t fan_out_range(Meeting& meeting, const net::Packet& pkt, SimTime candidate,
-                             std::size_t begin, std::size_t end, NewBatchSink&& sink,
-                             OnCandidate&& on_candidate, OnAppend&& on_append);
 
   /// This ingest's jittered departure candidate: now + base + exp(jitter).
-  /// Drawn ONCE per ingested packet, on the event-loop thread (see
-  /// forward_media for why that is the determinism linchpin).
+  /// Drawn ONCE per ingested packet (see forward_media).
   SimTime departure_candidate();
   /// Runs pkt through the destination's departure pipeline at `candidate`
   /// (FIFO floor, batch coalescing), scheduling any newly opened batch.
@@ -317,8 +232,6 @@ class RelayServer {
   /// freshly allocated (with `reserve_hint` packet capacity) otherwise.
   std::shared_ptr<DepartureBatch> acquire_batch(std::size_t reserve_hint);
 
-  void rebuild_shard_metrics();
-
   net::Network& network_;
   net::Host* host_;
   std::uint16_t media_port_;
@@ -336,9 +249,6 @@ class RelayServer {
   Stats stats_;
   bool crashed_ = false;
 
-  ShardPool* pool_ = nullptr;  // borrowed; nullptr ⇒ shards run inline
-  int shards_ = 0;             // <= 0 ⇒ serial fan-out
-  std::vector<ShardScratch> scratch_;
   /// Fired candidate batches ready for reuse (loop thread only).
   std::vector<std::shared_ptr<DepartureBatch>> batch_spares_;
 
@@ -355,11 +265,6 @@ class RelayServer {
   MetricsRegistry::Histogram* m_departure_batch_pkts_ = nullptr;
 
   Tracer* tracer_ = nullptr;
-
-  MetricsRegistry* shard_registry_ = nullptr;  // for rebuilds when K changes
-  std::string shard_prefix_;
-  std::vector<MetricsRegistry::Counter*> m_shard_fan_out_;
-  MetricsRegistry::Histogram* m_shard_imbalance_ = nullptr;
 };
 
 }  // namespace vc::platform

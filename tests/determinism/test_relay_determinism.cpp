@@ -1,12 +1,7 @@
-// Determinism contract of the sharded relay fan-out: the same seeded
-// session must produce byte-identical results at every shard count — K=0
-// (plain serial loop), K=1/2/8 (staged path, inline), and K on a real
-// multi-worker pool. Verified at two levels:
-//   * a canonical relay session serialized packet-by-packet (every
-//     receiver's (origin, seq, l7_len, arrival_us) sequence plus Stats and
-//     the standard metrics registry);
-//   * a full platform session driven through runner::ExperimentRunner,
-//     comparing RunReport::aggregate_json() strings across K.
+// Determinism contract of the relay fan-out: the same seeded session must
+// produce byte-identical results on every run. A canonical relay session is
+// serialized packet-by-packet (every receiver's (origin, seq, l7_len,
+// arrival_us) sequence plus Stats and the standard metrics registry).
 // A golden-file test pins the canonical session's output across commits;
 // regenerate with VC_UPDATE_GOLDEN=1 after an intentional semantic change.
 #include <gtest/gtest.h>
@@ -20,10 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "common/shard_pool.h"
-#include "core/mobile_benchmark.h"
+#include "common/metrics.h"
 #include "platform/relay.h"
-#include "runner/experiment_runner.h"
 
 namespace vc {
 namespace {
@@ -35,14 +28,13 @@ struct ReceivedPacket {
   std::int64_t arrival_us = 0;
 };
 
-/// Runs the canonical relay session at the given sharding setting and
-/// serializes everything the determinism contract covers. Only integer
-/// fields are emitted, so the string doubles as a portable golden file when
-/// jitter_mean_ms == 0 (nonzero jitter goes through libm exp/log, whose
-/// last-ULP behavior is platform-specific; same-machine cross-K comparisons
-/// may use it freely).
-std::string run_canonical_session(ShardPool* pool, int shards, double jitter_mean_ms) {
-  constexpr int kParticipants = 23;  // deliberately not divisible by 2 or 8
+/// Runs the canonical relay session and serializes everything the
+/// determinism contract covers. Only integer fields are emitted, so the
+/// string doubles as a portable golden file when jitter_mean_ms == 0
+/// (nonzero jitter goes through libm exp/log, whose last-ULP behavior is
+/// platform-specific; same-machine comparisons may use it freely).
+std::string run_canonical_session(double jitter_mean_ms) {
+  constexpr int kParticipants = 23;
   constexpr int kFrames = 12;
 
   net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 1};
@@ -52,7 +44,6 @@ std::string run_canonical_session(ShardPool* pool, int shards, double jitter_mea
                              platform::RelayServer::ForwardingDelay{millis(2), jitter_mean_ms}};
   MetricsRegistry metrics;
   relay.attach_metrics(metrics, "relay");
-  relay.set_fan_out_sharding(pool, shards);
 
   std::vector<std::vector<ReceivedPacket>> rx(kParticipants);
   std::vector<net::Host*> hosts;
@@ -167,26 +158,10 @@ std::string run_canonical_session(ShardPool* pool, int shards, double jitter_mea
   return out.str();
 }
 
-TEST(ShardDeterminism, StagedInlineMatchesSerialAtEveryK) {
-  const std::string serial = run_canonical_session(nullptr, 0, 2.0);
-  ASSERT_FALSE(serial.empty());
-  for (int k : {1, 2, 8}) {
-    EXPECT_EQ(run_canonical_session(nullptr, k, 2.0), serial) << "K=" << k;
-  }
-}
-
-TEST(ShardDeterminism, RealPoolMatchesSerial) {
-  ShardPool pool{3};
-  const std::string serial = run_canonical_session(nullptr, 0, 2.0);
-  for (int k : {2, 4, 8}) {
-    EXPECT_EQ(run_canonical_session(&pool, k, 2.0), serial) << "K=" << k;
-  }
-}
-
-TEST(ShardDeterminism, RepeatedRunsAreReproducible) {
-  ShardPool pool{2};
-  const std::string first = run_canonical_session(&pool, 4, 2.0);
-  EXPECT_EQ(run_canonical_session(&pool, 4, 2.0), first);
+TEST(RelayDeterminism, RepeatedRunsAreReproducible) {
+  const std::string first = run_canonical_session(2.0);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(run_canonical_session(2.0), first);
 }
 
 // ------------------------------------------------------------- golden file
@@ -195,13 +170,11 @@ std::string golden_path() {
   return std::string{VC_DETERMINISM_GOLDEN_DIR} + "/canonical_session.txt";
 }
 
-TEST(ShardDeterminism, CanonicalSessionMatchesGoldenFile) {
+TEST(RelayDeterminism, CanonicalSessionMatchesGoldenFile) {
   // Zero jitter keeps the transcript free of libm-derived values, so this
   // golden is portable across toolchains. Regenerate after an intentional
   // relay semantic change with:  VC_UPDATE_GOLDEN=1 ctest -R Golden
-  ShardPool pool{2};
-  const std::string serial = run_canonical_session(nullptr, 0, 0.0);
-  EXPECT_EQ(run_canonical_session(&pool, 8, 0.0), serial);
+  const std::string serial = run_canonical_session(0.0);
 
   if (std::getenv("VC_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out{golden_path(), std::ios::binary};
@@ -216,35 +189,6 @@ TEST(ShardDeterminism, CanonicalSessionMatchesGoldenFile) {
   EXPECT_EQ(serial, buf.str())
       << "canonical session drifted from the golden transcript; if the change "
          "is intentional, regenerate with VC_UPDATE_GOLDEN=1";
-}
-
-// -------------------------------------------- full platform session via runner
-
-std::string scale_report_json(int fan_out_shards) {
-  core::ScaleBenchmarkConfig cfg;
-  cfg.platform = platform::PlatformId::kZoom;
-  cfg.n_total = 6;
-  cfg.duration = seconds(12);
-  cfg.fan_out_shards = fan_out_shards;
-  runner::ExperimentRunner runner{{.threads = 2, .base_seed = 71, .label = "shard-determinism"}};
-  const runner::RunReport report = runner.run(2, [cfg](runner::SessionContext& ctx) {
-    const core::ScaleSessionResult r = core::run_scale_session(cfg, ctx.seed);
-    ctx.sample("s10_rate_mbps", r.s10_rate_mbps);
-    ctx.sample("j3_rate_mbps", r.j3_rate_mbps);
-    for (double c : r.s10_cpu) ctx.sample("s10_cpu", c);
-  });
-  EXPECT_TRUE(report.failures.empty());
-  return report.aggregate_json();
-}
-
-TEST(ShardDeterminism, PlatformSessionReportIdenticalAcrossK) {
-  // End-to-end: PlatformConfig plumbing → BasePlatform pool → RelayAllocator
-  // → relay, compared through the runner's deterministic aggregate report.
-  const std::string serial = scale_report_json(0);
-  ASSERT_FALSE(serial.empty());
-  for (int k : {1, 2, 8}) {
-    EXPECT_EQ(scale_report_json(k), serial) << "fan_out_shards=" << k;
-  }
 }
 
 }  // namespace

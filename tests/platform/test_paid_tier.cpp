@@ -21,7 +21,8 @@ struct PaidTierFixture : public ::testing::Test {
   }
 
   GeoPoint relay_location(WebexPlatform& webex, GeoPoint host_loc) {
-    const auto host = make_client("h-" + std::to_string(++counter), host_loc,
+    ++counter;
+    const auto host = make_client("h-" + std::to_string(counter), host_loc,
                                   static_cast<std::uint16_t>(48000 + counter));
     RouteInfo route;
     webex.create_meeting(host, [&](RouteInfo r) { route = r; });
