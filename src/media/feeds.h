@@ -79,7 +79,9 @@ class TourGuideFeed final : public VideoFeed {
 };
 
 /// Lag-measurement feed: dark blank frames, with a bright checker image for
-/// `flash_frames` frames every `period_sec` seconds.
+/// `flash_frames` frames every `period_sec` seconds. The image depends only
+/// on the seed, so it is rendered once, at construction, and every flash
+/// frame is a copy of it.
 class FlashFeed final : public VideoFeed {
  public:
   FlashFeed(FeedParams params = {}, double period_sec = 2.0, int flash_frames = 2);
@@ -96,6 +98,7 @@ class FlashFeed final : public VideoFeed {
   FeedParams p_;
   double period_sec_;
   int flash_frames_;
+  Frame flash_;
 };
 
 /// Constant dark frame (a participant with camera muted).

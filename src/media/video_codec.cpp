@@ -8,6 +8,10 @@
 
 #include "media/dct8.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace vc::media {
 namespace {
 
@@ -40,9 +44,39 @@ const QuantTables kQuant;
 // accumulation bit-for-bit in any order.
 constexpr std::int32_t kSkipSad = 96;
 
+// The intra predictor: one row of mid-grey, read with stride 0.
+constexpr std::uint8_t kFlatRow[kBlock] = {128, 128, 128, 128, 128, 128, 128, 128};
+
 std::int64_t div_round_up(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
 }  // namespace
+
+std::int32_t sad_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride, const std::uint8_t* b,
+                     std::ptrdiff_t b_stride) {
+#if defined(__SSE2__)
+  // Two rows per vector; psadbw leaves one partial sum per 64-bit half.
+  __m128i acc = _mm_setzero_si128();
+  for (int y = 0; y < kBlock; y += 2) {
+    const __m128i ra = _mm_unpacklo_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + y * a_stride)),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + (y + 1) * a_stride)));
+    const __m128i rb = _mm_unpacklo_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + y * b_stride)),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + (y + 1) * b_stride)));
+    acc = _mm_add_epi64(acc, _mm_sad_epu8(ra, rb));
+  }
+  return _mm_cvtsi128_si32(acc) + _mm_cvtsi128_si32(_mm_unpackhi_epi64(acc, acc));
+#else
+  std::int32_t sad = 0;
+  for (int y = 0; y < kBlock; ++y) {
+    for (int x = 0; x < kBlock; ++x) {
+      sad += std::abs(static_cast<int>(a[y * a_stride + x]) -
+                      static_cast<int>(b[y * b_stride + x]));
+    }
+  }
+  return sad;
+#endif
+}
 
 VideoEncoder::VideoEncoder(int width, int height, Config cfg)
     : width_(width), height_(height), cfg_(cfg), recon_(width, height, 0),
@@ -51,13 +85,43 @@ VideoEncoder::VideoEncoder(int width, int height, Config cfg)
     throw std::invalid_argument{"frame dimensions must be multiples of 8"};
   }
   if (cfg_.fps <= 0.0 || cfg_.keyframe_interval <= 0) throw std::invalid_argument{"bad encoder config"};
+  decisions_.resize(static_cast<std::size_t>(width / kBlock) * (height / kBlock));
 }
 
 void VideoEncoder::set_target_bitrate(DataRate rate) { cfg_.target_bitrate = rate; }
 
-VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool keyframe,
-                                                     double qstep, EncodedFrame* out,
-                                                     Frame* recon) const {
+void VideoEncoder::decide_blocks(const Frame& frame, bool keyframe) {
+  // Keyframes force every block intra, so neither SAD is needed.
+  if (keyframe) {
+    std::fill(decisions_.begin(), decisions_.end(), BlockDecision::kIntra);
+    return;
+  }
+  const int bx = width_ / kBlock;
+  const int by = height_ / kBlock;
+  const std::ptrdiff_t stride = width_;
+  for (int byi = 0; byi < by; ++byi) {
+    for (int bxi = 0; bxi < bx; ++bxi) {
+      const std::ptrdiff_t offset = (byi * stride + bxi) * kBlock;
+      const std::uint8_t* fblock = frame.data() + offset;
+      // Mode decision by SAD against each predictor.
+      const std::int32_t sad_intra = sad_8x8(fblock, stride, kFlatRow, 0);
+      const std::int32_t sad_inter = sad_8x8(fblock, stride, recon_.data() + offset, stride);
+      // SKIP decision before the transform: when the block barely differs
+      // from the reference, copy it (real codecs' SKIP mode). Without this,
+      // the encoder would spend bits forever chasing its own quantization
+      // noise on static content — and a "blank" screen would never go quiet
+      // on the wire, breaking the premise of the paper's lag measurement.
+      BlockDecision d = BlockDecision::kIntra;
+      if (sad_inter <= sad_intra) {
+        d = sad_inter < kSkipSad ? BlockDecision::kSkip : BlockDecision::kInter;
+      }
+      decisions_[static_cast<std::size_t>(byi) * bx + bxi] = d;
+    }
+  }
+}
+
+VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, double qstep,
+                                                     EncodedFrame* out, Frame* recon) const {
   const int bx = width_ / kBlock;
   const int by = height_ / kBlock;
   EncodeResult res;
@@ -77,40 +141,8 @@ VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool ke
       const std::uint8_t* fblock = fdata + static_cast<std::size_t>(y0) * stride + x0;
       const std::uint8_t* rblock = rdata + static_cast<std::size_t>(y0) * stride + x0;
       ++res.total_blocks;
-      // Mode decision by SAD against each predictor. On keyframes the mode
-      // is forced intra, so neither SAD is needed at all; otherwise the
-      // inter SAD exits early once it exceeds the (complete) intra SAD —
-      // SADs are monotone in pixels covered, so a partial sum past the
-      // intra SAD already decides the comparison and no quantity derived
-      // from the exact inter total is ever used on that path.
-      bool inter = false;
-      bool skip = false;
-      if (!keyframe) {
-        std::int32_t sad_intra = 0;
-        for (int y = 0; y < kBlock; ++y) {
-          const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
-          for (int x = 0; x < kBlock; ++x) {
-            sad_intra += std::abs(static_cast<int>(frow[x]) - 128);
-          }
-        }
-        std::int32_t sad_inter = 0;
-        for (int y = 0; y < kBlock && sad_inter <= sad_intra; ++y) {
-          const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
-          const std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
-          for (int x = 0; x < kBlock; ++x) {
-            sad_inter += std::abs(static_cast<int>(frow[x]) - static_cast<int>(rrow[x]));
-          }
-        }
-        inter = sad_inter <= sad_intra;
-        // SKIP decision before the transform: when the block barely differs
-        // from the reference, copy it (real codecs' SKIP mode). Without
-        // this, the encoder would spend bits forever chasing its own
-        // quantization noise on static content — and a "blank" screen would
-        // never go quiet on the wire, breaking the premise of the paper's
-        // lag measurement.
-        skip = inter && sad_inter < kSkipSad;
-      }
-      if (skip) {
+      const BlockDecision decision = decisions_[static_cast<std::size_t>(byi) * bx + bxi];
+      if (decision == BlockDecision::kSkip) {
         res.bits += 1;
         ++res.skip_blocks;
         if (out != nullptr) {
@@ -125,6 +157,7 @@ VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool ke
         }
         continue;
       }
+      const bool inter = decision == BlockDecision::kInter;
       for (int y = 0; y < kBlock; ++y) {
         const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
         const std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
@@ -204,8 +237,10 @@ std::shared_ptr<EncodedFrame> VideoEncoder::encode(const Frame& frame) {
   // overdraft to subsequent frames.
   const double frame_target = per_frame_budget * (keyframe ? 3.0 : 1.0);
 
-  // Trial pass at the current quantizer, then one corrective pass.
-  const EncodeResult trial = encode_pass(frame, keyframe, qstep_, nullptr, nullptr);
+  // Trial pass at the current quantizer, then one corrective pass; both
+  // read the same block decisions.
+  decide_blocks(frame, keyframe);
+  const EncodeResult trial = encode_pass(frame, qstep_, nullptr, nullptr);
   double q = qstep_;
   if (trial.bits > 0 && frame_target > 0) {
     const double ratio = static_cast<double>(trial.bits) / frame_target;
@@ -218,7 +253,7 @@ std::shared_ptr<EncodedFrame> VideoEncoder::encode(const Frame& frame) {
   out->keyframe = keyframe;
   out->qstep = q;
   out->sequence = next_seq_++;
-  const EncodeResult real = encode_pass(frame, keyframe, q, out.get(), &recon_scratch_);
+  const EncodeResult real = encode_pass(frame, q, out.get(), &recon_scratch_);
   out->bytes = std::max<std::int64_t>(div_round_up(real.bits, 8), 64);
   out->wire_bytes = out->bytes;
   out->skip_blocks = real.skip_blocks;

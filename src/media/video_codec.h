@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,6 +30,13 @@ inline constexpr int kBlock = 8;
 
 /// Per-block prediction mode.
 enum class BlockMode : std::uint8_t { kIntra = 0, kInter = 1 };
+
+/// Sum of absolute differences between two 8×8 blocks of 8-bit pixels whose
+/// rows are `a_stride` and `b_stride` bytes apart (a stride of 0 repeats one
+/// row). Exact integer arithmetic: SSE2 `psadbw` where available, else the
+/// scalar loop — the result is the same either way.
+std::int32_t sad_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride, const std::uint8_t* b,
+                     std::ptrdiff_t b_stride);
 
 /// A compressed frame. Immutable after encoding; shared between fan-out
 /// copies when a relay forwards the stream to multiple receivers.
@@ -86,8 +94,12 @@ class VideoEncoder {
     std::int32_t skip_blocks = 0;
     std::int32_t total_blocks = 0;
   };
-  EncodeResult encode_pass(const Frame& frame, bool keyframe, double qstep, EncodedFrame* out,
-                           Frame* recon) const;
+  /// A block's coding decision. It depends on the source frame and the
+  /// reference only, never on the quantizer, so the trial and real passes
+  /// share one decision per frame.
+  enum class BlockDecision : std::uint8_t { kIntra, kInter, kSkip };
+  void decide_blocks(const Frame& frame, bool keyframe);
+  EncodeResult encode_pass(const Frame& frame, double qstep, EncodedFrame* out, Frame* recon) const;
   /// Pooled EncodedFrame: recycles a previously returned frame once the
   /// caller has dropped it (use_count()==1), else allocates. Keeps the
   /// steady-state encode path allocation-free without ever mutating a frame
@@ -99,6 +111,7 @@ class VideoEncoder {
   Config cfg_;
   Frame recon_;           // closed-loop reference
   Frame recon_scratch_;   // encode_pass target, swapped into recon_ per frame
+  std::vector<BlockDecision> decisions_;  // one per block, rewritten per frame
   std::array<std::shared_ptr<EncodedFrame>, 4> frame_pool_;
   double qstep_ = 10.0;
   std::int64_t next_seq_ = 0;

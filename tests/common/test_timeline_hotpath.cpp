@@ -25,26 +25,34 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
 
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+// The replacement operators below reach malloc/free only through these two
+// out-of-line helpers. Once GCC inlines a malloc or free into an operator
+// new or delete it pairs them across call sites and reports
+// -Wmismatched-new-delete; out of line, each new pairs only with a delete.
+[[gnu::noinline]] void* counted_malloc(std::size_t size) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept {
+[[gnu::noinline]] void counted_free(void* p) noexcept {
   if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
 
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { operator delete(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace vc {
 namespace {

@@ -62,7 +62,7 @@ std::string run_city(std::size_t threads, int fleet_size, bool crash) {
   return report.aggregate_json();
 }
 
-TEST(FleetDeterminism, IdenticalAcrossThreadsShardsAndFleetSizes) {
+TEST(FleetDeterminism, IdenticalAcrossThreadsAndFleetSizes) {
   for (const int fleet_size : {1, 2, 4}) {
     SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size));
     const std::string base = run_city(1, fleet_size, false);
@@ -72,7 +72,7 @@ TEST(FleetDeterminism, IdenticalAcrossThreadsShardsAndFleetSizes) {
   }
 }
 
-TEST(FleetDeterminism, CrashFailoverSceneIdenticalAcrossThreadsAndShards) {
+TEST(FleetDeterminism, CrashFailoverSceneIdenticalAcrossThreads) {
   const std::string base = run_city(1, /*fleet_size=*/2, /*crash=*/true);
   // The outage bit and the fleet's failover machinery ran.
   EXPECT_NE(base.find("client.reconnects"), std::string::npos);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "media/feeds.h"
 #include "media/frame.h"
 
@@ -110,6 +112,33 @@ TEST(FlashFeed, FlashVisiblyDiffersFromBlank) {
   EXPECT_GT(flash.mse(blank), 1000.0);
   // Blank frames are identical to each other.
   EXPECT_EQ(feed.frame_at(10), feed.frame_at(11));
+}
+
+// The flash image depends only on the seed, so FlashFeed renders it once and
+// every flash frame is a copy of it.
+TEST(FlashFeed, FlashImageIsIndexIndependent) {
+  const FlashFeed feed{{160, 120, 10.0, 0xF00D}};
+  const Frame first = feed.frame_at(0);
+  int flashes = 0;
+  for (int i = 0; i < 60; ++i) {  // three 20-frame periods
+    if (!feed.is_flash_frame(i)) continue;
+    ++flashes;
+    EXPECT_EQ(feed.frame_at(i), first) << "frame " << i;
+  }
+  EXPECT_EQ(flashes, 6);
+}
+
+// FNV-1a over the pixels of the city-host geometry's flash image. The
+// constant was recorded while the image was still rendered per flash frame,
+// so the memoised image must be the historical one pixel for pixel.
+TEST(FlashFeed, FlashImageMatchesReferenceDigest) {
+  const FlashFeed feed{{160, 120, 10.0, 0xF00D}};
+  const Frame flash = feed.frame_at(0);
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < flash.size(); ++i) {
+    h = (h ^ flash.data()[i]) * 1099511628211ULL;
+  }
+  EXPECT_EQ(h, 0x43b84dff6ac52e84ULL);
 }
 
 TEST(PaddedFeed, GeometryAndContentPlacement) {
