@@ -25,6 +25,7 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
                                  const std::vector<Frame>& recording, std::int64_t max_shift,
                                  std::int64_t probe_frames) {
   if (reference.empty() || recording.empty()) throw std::invalid_argument{"empty sequence"};
+  if (probe_frames < 1) throw std::invalid_argument{"probe_frames must be at least 1"};
   double best = -2.0;
   std::int64_t best_shift = 0;
   for (std::int64_t shift = 0; shift <= max_shift; ++shift) {

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "core/qoe_benchmark.h"
 #include "media/align.h"
 #include "media/audio.h"
 #include "media/feeds.h"
@@ -125,6 +133,290 @@ TEST(MetricInputs, SizeMismatchThrows) {
   EXPECT_THROW(qoe::vifp(a, b), std::invalid_argument);
 }
 
+TEST(Vifp, FrameSmallerThanWindowThrows) {
+  // The first scale's 17-tap window does not fit: there is nothing to score,
+  // which must not read as a perfect 1.0.
+  const Frame a = test_image(1);
+  const Frame b = test_image(99);
+  for (const auto& [w, h] : {std::pair{16, 16}, std::pair{64, 16}, std::pair{16, 64}}) {
+    EXPECT_THROW(qoe::vifp(a.crop(0, 0, w, h), b.crop(0, 0, w, h)), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(qoe::vifp(a.crop(0, 0, 17, 17), b.crop(0, 0, 17, 17)));
+}
+
+// ------------------------------------------------- bit-exactness oracle
+//
+// The scalar SSIM and VIFp kernels as they were before the integer
+// sliding-window SSIM and the lane-parallel VIFp filters replaced them. The
+// optimised kernels must return the same bits, not merely close values.
+
+double reference_ssim(const Frame& reference, const Frame& distorted) {
+  constexpr int kWin = 8;
+  constexpr double kC1 = (0.01 * 255) * (0.01 * 255);
+  constexpr double kC2 = (0.03 * 255) * (0.03 * 255);
+  const int w = reference.width();
+  const int h = reference.height();
+  double total = 0.0;
+  std::int64_t windows = 0;
+  for (int y0 = 0; y0 + kWin <= h; y0 += 2) {
+    for (int x0 = 0; x0 + kWin <= w; x0 += 2) {
+      double sum_a = 0, sum_b = 0, sum_aa = 0, sum_bb = 0, sum_ab = 0;
+      for (int y = 0; y < kWin; ++y) {
+        for (int x = 0; x < kWin; ++x) {
+          const double a = reference.at(x0 + x, y0 + y);
+          const double b = distorted.at(x0 + x, y0 + y);
+          sum_a += a;
+          sum_b += b;
+          sum_aa += a * a;
+          sum_bb += b * b;
+          sum_ab += a * b;
+        }
+      }
+      constexpr double kN = kWin * kWin;
+      const double mu_a = sum_a / kN;
+      const double mu_b = sum_b / kN;
+      const double var_a = sum_aa / kN - mu_a * mu_a;
+      const double var_b = sum_bb / kN - mu_b * mu_b;
+      const double cov = sum_ab / kN - mu_a * mu_b;
+      const double s = ((2 * mu_a * mu_b + kC1) * (2 * cov + kC2)) /
+                       ((mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2));
+      total += s;
+      ++windows;
+    }
+  }
+  return windows > 0 ? total / static_cast<double>(windows) : 0.0;
+}
+
+struct RefImage {
+  int w = 0;
+  int h = 0;
+  std::vector<double> px;
+
+  RefImage() = default;
+  RefImage(int w_, int h_) : w(w_), h(h_), px(static_cast<std::size_t>(w_) * h_, 0.0) {}
+  explicit RefImage(const Frame& f) : RefImage(f.width(), f.height()) {
+    for (std::size_t i = 0; i < px.size(); ++i) px[i] = static_cast<double>(f.data()[i]);
+  }
+  double at(int x, int y) const { return px[static_cast<std::size_t>(y) * w + x]; }
+  double& at(int x, int y) { return px[static_cast<std::size_t>(y) * w + x]; }
+};
+
+RefImage ref_multiply(const RefImage& a, const RefImage& b) {
+  RefImage out{a.w, a.h};
+  for (std::size_t i = 0; i < out.px.size(); ++i) out.px[i] = a.px[i] * b.px[i];
+  return out;
+}
+
+std::vector<double> ref_gaussian_kernel(int n, double sd) {
+  std::vector<double> k(static_cast<std::size_t>(n));
+  const int c = n / 2;
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double d = i - c;
+    k[static_cast<std::size_t>(i)] = std::exp(-d * d / (2.0 * sd * sd));
+    sum += k[static_cast<std::size_t>(i)];
+  }
+  for (auto& v : k) v /= sum;
+  return k;
+}
+
+RefImage ref_filter_valid(const RefImage& in, const std::vector<double>& k) {
+  const int n = static_cast<int>(k.size());
+  const int ow = in.w - n + 1;
+  const int oh = in.h - n + 1;
+  if (ow <= 0 || oh <= 0) return RefImage{};
+  RefImage tmp{ow, in.h};
+  for (int y = 0; y < in.h; ++y) {
+    for (int x = 0; x < ow; ++x) {
+      double acc = 0.0;
+      for (int i = 0; i < n; ++i) acc += k[static_cast<std::size_t>(i)] * in.at(x + i, y);
+      tmp.at(x, y) = acc;
+    }
+  }
+  RefImage out{ow, oh};
+  for (int y = 0; y < oh; ++y) {
+    for (int x = 0; x < ow; ++x) {
+      double acc = 0.0;
+      for (int i = 0; i < n; ++i) acc += k[static_cast<std::size_t>(i)] * tmp.at(x, y + i);
+      out.at(x, y) = acc;
+    }
+  }
+  return out;
+}
+
+RefImage ref_downsample2(const RefImage& in) {
+  RefImage out{(in.w + 1) / 2, (in.h + 1) / 2};
+  for (int y = 0; y < out.h; ++y) {
+    for (int x = 0; x < out.w; ++x) out.at(x, y) = in.at(x * 2, y * 2);
+  }
+  return out;
+}
+
+double reference_vifp(const Frame& reference, const Frame& distorted) {
+  constexpr double kSigmaNsq = 2.0;
+  RefImage ref{reference};
+  RefImage dist{distorted};
+  double num = 0.0;
+  double den = 0.0;
+  for (int scale = 1; scale <= 4; ++scale) {
+    const int n = (1 << (4 - scale + 1)) + 1;
+    const auto kernel = ref_gaussian_kernel(n, static_cast<double>(n) / 5.0);
+    if (scale > 1) {
+      ref = ref_downsample2(ref_filter_valid(ref, kernel));
+      dist = ref_downsample2(ref_filter_valid(dist, kernel));
+      if (ref.w < n || ref.h < n) break;
+    }
+    const RefImage mu1 = ref_filter_valid(ref, kernel);
+    const RefImage mu2 = ref_filter_valid(dist, kernel);
+    const RefImage rr = ref_filter_valid(ref_multiply(ref, ref), kernel);
+    const RefImage dd = ref_filter_valid(ref_multiply(dist, dist), kernel);
+    const RefImage rd = ref_filter_valid(ref_multiply(ref, dist), kernel);
+    for (std::size_t i = 0; i < mu1.px.size(); ++i) {
+      const double m1 = mu1.px[i];
+      const double m2 = mu2.px[i];
+      double sigma1_sq = rr.px[i] - m1 * m1;
+      double sigma2_sq = dd.px[i] - m2 * m2;
+      double sigma12 = rd.px[i] - m1 * m2;
+      sigma1_sq = std::max(sigma1_sq, 0.0);
+      sigma2_sq = std::max(sigma2_sq, 0.0);
+      double g = sigma12 / (sigma1_sq + 1e-10);
+      double sv_sq = sigma2_sq - g * sigma12;
+      if (sigma1_sq < 1e-10) {
+        g = 0.0;
+        sv_sq = sigma2_sq;
+        sigma1_sq = 0.0;
+      }
+      if (sigma2_sq < 1e-10) {
+        g = 0.0;
+        sv_sq = 0.0;
+      }
+      if (g < 0.0) {
+        sv_sq = sigma2_sq;
+        g = 0.0;
+      }
+      sv_sq = std::max(sv_sq, 1e-10);
+      num += std::log10(1.0 + g * g * sigma1_sq / (sv_sq + kSigmaNsq));
+      den += std::log10(1.0 + sigma1_sq / kSigmaNsq);
+    }
+  }
+  if (den <= 1e-12) return 1.0;
+  return std::clamp(num / den, 0.0, 1.0);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof v);
+  return u;
+}
+
+enum class Content { kUniform, kNearCopy, kCheckerboard, kNearConstant };
+
+// A random frame pair of the given content class: independent uniform noise;
+// a copy with a few pixels nudged; 0/255 checkerboards (the largest window
+// sums) with a random phase each; or flat grey with sparse ±1 pixels (the
+// sigma < 1e-10 branches of VIFp and SSIM's smallest variances).
+std::pair<Frame, Frame> random_pair(Rng& rng, int w, int h, Content content) {
+  Frame a{w, h};
+  Frame b{w, h};
+  const auto byte = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint8_t>(rng.uniform_int(lo, hi));
+  };
+  switch (content) {
+    case Content::kUniform:
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] = byte(0, 255);
+        b.data()[i] = byte(0, 255);
+      }
+      break;
+    case Content::kNearCopy:
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] = byte(0, 255);
+        const int nudge = rng.uniform_int(0, 9) == 0 ? static_cast<int>(rng.uniform_int(-3, 3)) : 0;
+        b.data()[i] = static_cast<std::uint8_t>(std::clamp(a.data()[i] + nudge, 0, 255));
+      }
+      break;
+    case Content::kCheckerboard: {
+      const int pa = static_cast<int>(rng.uniform_int(0, 1));
+      const int pb = static_cast<int>(rng.uniform_int(0, 1));
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          a.set(x, y, ((x + y + pa) & 1) != 0 ? 255 : 0);
+          b.set(x, y, ((x + y + pb) & 1) != 0 ? 255 : 0);
+        }
+      }
+      break;
+    }
+    case Content::kNearConstant: {
+      const std::uint8_t base = byte(1, 254);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] = base;
+        b.data()[i] = rng.uniform_int(0, 49) == 0 ? byte(base - 1, base + 1) : base;
+      }
+      break;
+    }
+  }
+  return {std::move(a), std::move(b)};
+}
+
+TEST(QoeOracle, RandomPairsMatchScalarReferenceBitForBit) {
+  Rng rng{0x5515};
+  constexpr Content kContents[] = {Content::kUniform, Content::kNearCopy, Content::kCheckerboard,
+                                   Content::kNearConstant};
+  int compared = 0;
+  for (int rep = 0; rep < 500; ++rep) {
+    const Content content = kContents[rep % 4];
+    // SSIM needs 8×8 and VIFp 17×17; most sizes are odd or not multiples of 8.
+    const int w = static_cast<int>(rng.uniform_int(8, 127));
+    const int h = static_cast<int>(rng.uniform_int(8, 107));
+    const auto [a, b] = random_pair(rng, w, h, content);
+    SCOPED_TRACE(::testing::Message() << "rep " << rep << " " << w << "x" << h << " content "
+                                      << static_cast<int>(content));
+    EXPECT_PRED2(same_bits, qoe::ssim(a, b), reference_ssim(a, b));
+    EXPECT_PRED2(same_bits, qoe::ssim(b, a), reference_ssim(b, a));
+    if (w >= 17 && h >= 17) {
+      EXPECT_PRED2(same_bits, qoe::vifp(a, b), reference_vifp(a, b));
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 300);
+}
+
+TEST(QoeOracle, FeedFramesMatchScalarReferenceBitForBit) {
+  // Real feed content at the QoE benchmark's geometry, against a noisy copy
+  // and against itself.
+  const FeedParams p{256, 192, 10.0, 17};
+  const TourGuideFeed tour{p};
+  const TalkingHeadFeed head{p};
+  for (int i = 0; i < 3; ++i) {
+    for (const Frame& f : {tour.frame_at(i), head.frame_at(i)}) {
+      const Frame g = noisy(f, 6, static_cast<std::uint64_t>(i));
+      EXPECT_PRED2(same_bits, qoe::ssim(f, g), reference_ssim(f, g));
+      EXPECT_PRED2(same_bits, qoe::vifp(f, g), reference_vifp(f, g));
+      EXPECT_PRED2(same_bits, qoe::vifp(f, f), reference_vifp(f, f));
+    }
+  }
+}
+
+TEST(QoeOracle, SessionScoresPinned) {
+  // One short Zoom high-motion session: the recorded scores' bit patterns
+  // (PSNR 29.860424564646472 dB, SSIM 0.91900041163666413, VIFp
+  // 0.51362061064678588), taken from the scalar kernels before the optimised
+  // ones replaced them.
+  core::QoeBenchmarkConfig cfg;
+  cfg.platform = platform::PlatformId::kZoom;
+  cfg.motion = platform::MotionClass::kHighMotion;
+  cfg.receiver_sites = {"US-West"};
+  cfg.media_duration = seconds(3);
+  const auto r = core::run_qoe_session(cfg, 11);
+  ASSERT_EQ(r.receivers.size(), 1u);
+  ASSERT_TRUE(r.receivers[0].has_video_qoe);
+  EXPECT_EQ(bits_of(r.receivers[0].psnr), 0x403ddc44c8c5d4e6ULL);
+  EXPECT_EQ(bits_of(r.receivers[0].ssim), 0x3fed68738d1fae2aULL);
+  EXPECT_EQ(bits_of(r.receivers[0].vifp), 0x3fe06f947da8f19fULL);
+}
+
 // ---------------------------------------------------------------- audio MOS
 
 TEST(MosLqo, IdenticalNearCeiling) {
@@ -201,6 +493,13 @@ TEST(Align, RecoversTemporalShift) {
   const auto aligned = align_sequences(reference, recording, shift);
   EXPECT_EQ(aligned.reference.size(), aligned.recording.size());
   EXPECT_EQ(aligned.reference[0], aligned.recording[0]);
+}
+
+TEST(Align, NonPositiveProbeFramesThrows) {
+  const std::vector<Frame> seq(4, Frame{16, 16, 1});
+  EXPECT_THROW(best_temporal_shift(seq, seq, 2, 0), std::invalid_argument);
+  EXPECT_THROW(best_temporal_shift(seq, seq, 2, -1), std::invalid_argument);
+  EXPECT_EQ(best_temporal_shift(seq, seq, 2, 1), 0);
 }
 
 TEST(Align, SequenceTruncation) {
