@@ -38,6 +38,39 @@ enum class BlockMode : std::uint8_t { kIntra = 0, kInter = 1 };
 std::int32_t sad_8x8(const std::uint8_t* a, std::ptrdiff_t a_stride, const std::uint8_t* b,
                      std::ptrdiff_t b_stride);
 
+// The quantise/reconstruct kernels below return the same bits as the
+// per-coefficient and per-pixel loops they replaced
+// (tests/media/test_video_codec.cpp, CodecOracle). quantise_8x8's SSE2 path
+// puts one coefficient in each __m128d lane and runs the scalar IEEE
+// sequence in every lane (divide, never fused), so it also matches its
+// scalar fallback.
+
+/// The quantiser step of each coefficient of a block at `qstep`:
+/// steps[i] = qstep · (1 + 0.12·(u + v)), the frequency-weighted step.
+void quant_steps_8x8(double qstep, double* steps);
+
+struct QuantisedBlock {
+  /// Entropy estimate of the block's coefficients: 2 + ⌊2·log2(1+|q|)⌋ bits
+  /// per nonzero q (sign + magnitude prefix), 0 per zero.
+  std::int32_t bits = 0;
+  bool all_zero = true;
+};
+
+/// q[i] = coeffs[i] / steps[i] rounded half away from zero (std::lround)
+/// and saturated to int16. Equal to clamp(lround(c), INT16_MIN, INT16_MAX)
+/// wherever lround is defined (|c| < 2^63); beyond that it still saturates.
+QuantisedBlock quantise_8x8(const double* coeffs, const double* steps, std::int16_t* q);
+
+/// deq[i] = q[i] · steps[i].
+void dequantise_8x8(const std::int16_t* q, const double* steps, double* deq);
+
+/// dst = clamp((pred + rec) + 0.5, 0, 255), truncated to uint8, for an 8×8
+/// block: the predictor and destination rows are `pred_stride` and
+/// `dst_stride` bytes apart (a predictor stride of 0 repeats one row), and
+/// `rec` is the row-major inverse-DCT residual.
+void reconstruct_8x8(const std::uint8_t* pred, std::ptrdiff_t pred_stride, const double* rec,
+                     std::uint8_t* dst, std::ptrdiff_t dst_stride);
+
 /// A compressed frame. Immutable after encoding; shared between fan-out
 /// copies when a relay forwards the stream to multiple receivers.
 struct EncodedFrame final : public net::PacketPayload {
@@ -69,6 +102,7 @@ class VideoEncoder {
     double fps = 15.0;
     /// A keyframe every this many frames (and at stream start).
     int keyframe_interval = 60;
+    /// Quantiser bounds; the constructor requires 0 < min <= max < inf.
     double min_qstep = 0.1;
     double max_qstep = 160.0;
   };
@@ -124,7 +158,9 @@ class VideoDecoder {
 
   /// Decodes a frame. The decoder tolerates gaps: a missing frame is simply
   /// never passed in, and the previously decoded frame stays on screen
-  /// (freeze) — callers render current() at display times.
+  /// (freeze) — callers render current() at display times. Throws
+  /// std::invalid_argument when the frame's size, coefficients or modes do
+  /// not match this decoder's block grid.
   const Frame& decode(const EncodedFrame& frame);
 
   const Frame& current() const { return current_; }

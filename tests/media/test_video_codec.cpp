@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,6 +29,45 @@ VideoEncoder::Config cfg(double kbps, double fps = 10.0) {
 TEST(VideoCodec, RejectsNonMultipleOf8) {
   EXPECT_THROW((VideoEncoder{100, 96, cfg(500)}), std::invalid_argument);
   EXPECT_THROW((VideoDecoder{128, 90}), std::invalid_argument);
+}
+
+TEST(VideoCodec, RejectsBadQstepBounds) {
+  // A zero step quantises a zero coefficient as 0/0; the bounds must keep
+  // every step positive and finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [lo, hi] : {std::pair{0.0, 160.0}, std::pair{-1.0, 160.0}, std::pair{20.0, 10.0},
+                               std::pair{nan, 160.0}, std::pair{0.1, nan}, std::pair{0.1, inf},
+                               std::pair{inf, inf}}) {
+    auto c = cfg(500);
+    c.min_qstep = lo;
+    c.max_qstep = hi;
+    EXPECT_THROW((VideoEncoder{kW, kH, c}), std::invalid_argument) << lo << " " << hi;
+  }
+  auto c = cfg(500);
+  c.min_qstep = 7.0;
+  c.max_qstep = 7.0;
+  EXPECT_NO_THROW((VideoEncoder{kW, kH, c}));
+}
+
+TEST(VideoCodec, DecoderRejectsMissizedPayload) {
+  // The right geometry with coefficients or modes that do not cover the
+  // block grid must be refused, not read out of bounds.
+  VideoDecoder dec{kW, kH};
+  const std::size_t blocks = kW / 8 * kH / 8;
+  EncodedFrame f;
+  f.width = kW;
+  f.height = kH;
+  EXPECT_THROW(dec.decode(f), std::invalid_argument);
+  f.modes.assign(blocks, BlockMode::kIntra);
+  f.coeffs.assign(blocks * 64 - 1, 0);
+  EXPECT_THROW(dec.decode(f), std::invalid_argument);
+  f.coeffs.assign(blocks * 64, 0);
+  f.modes.assign(blocks + 1, BlockMode::kIntra);
+  EXPECT_THROW(dec.decode(f), std::invalid_argument);
+  f.modes.assign(blocks, BlockMode::kIntra);
+  EXPECT_NO_THROW(dec.decode(f));
+  EXPECT_EQ(dec.frames_decoded(), 1);
 }
 
 TEST(VideoCodec, DecoderMatchesEncoderReconstruction) {
@@ -244,6 +287,179 @@ TEST(Sad8x8, ExtremeBlocks) {
   EXPECT_EQ(sad_8x8(full.data(), 8, zeros.data(), 8), 64 * 255);
   EXPECT_EQ(sad_8x8(full.data(), 8, grey.data(), 0), 64 * 127);
   EXPECT_EQ(sad_8x8(zeros.data(), 8, grey.data(), 0), 64 * 128);
+}
+
+// ------------------------------------------------- bit-exactness oracle
+//
+// The scalar per-coefficient quantise and per-pixel reconstruct loops that
+// quantise_8x8, dequantise_8x8 and reconstruct_8x8 replaced, with the step
+// hoisted into a table. The kernels must return the same bits.
+
+struct ReferenceBlock {
+  std::int64_t bits = 0;
+  bool all_zero = true;
+};
+
+ReferenceBlock reference_quantise(const double* coeffs, const double* steps, std::int16_t* q,
+                                  double* deq) {
+  ReferenceBlock res;
+  for (int i = 0; i < 64; ++i) {
+    const double c = coeffs[i] / steps[i];
+    q[i] = static_cast<std::int16_t>(
+        std::clamp(std::lround(c), static_cast<long>(INT16_MIN), static_cast<long>(INT16_MAX)));
+    const int mag = q[i] < 0 ? -static_cast<int>(q[i]) : static_cast<int>(q[i]);
+    if (mag != 0) {
+      res.bits += 2 + static_cast<std::int64_t>(2.0 * std::log2(1.0 + static_cast<double>(mag)));
+      res.all_zero = false;
+    }
+    deq[i] = static_cast<double>(q[i]) * steps[i];
+  }
+  return res;
+}
+
+void reference_reconstruct(const std::uint8_t* pred, std::ptrdiff_t pred_stride, const double* rec,
+                           std::uint8_t* dst, std::ptrdiff_t dst_stride) {
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      const double v = static_cast<double>(pred[y * pred_stride + x]) + rec[y * 8 + x];
+      dst[y * dst_stride + x] = static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0));
+    }
+  }
+}
+
+// Quantises one block both ways and compares q, the bit count, the
+// all-zero flag and the dequantised values by memcmp.
+void expect_quantise_matches(const double* coeffs, const double* steps) {
+  std::int16_t q[64], ref_q[64];
+  double deq[64], ref_deq[64];
+  const QuantisedBlock got = quantise_8x8(coeffs, steps, q);
+  dequantise_8x8(q, steps, deq);
+  const ReferenceBlock want = reference_quantise(coeffs, steps, ref_q, ref_deq);
+  ASSERT_EQ(std::memcmp(q, ref_q, sizeof q), 0) << "c[0]=" << coeffs[0] << " step " << steps[0];
+  ASSERT_EQ(got.bits, want.bits);
+  ASSERT_EQ(got.all_zero, want.all_zero);
+  ASSERT_EQ(std::memcmp(deq, ref_deq, sizeof deq), 0);
+}
+
+TEST(CodecOracle, StepTableIsTheWeightedStep) {
+  Rng rng{77};
+  for (int rep = 0; rep < 1000; ++rep) {
+    const double qstep = rng.uniform(0.1, 160.0);
+    double steps[64];
+    quant_steps_8x8(qstep, steps);
+    for (int v = 0; v < 8; ++v) {
+      for (int u = 0; u < 8; ++u) {
+        const double want = qstep * (1.0 + 0.12 * (u + v));
+        ASSERT_EQ(std::memcmp(&steps[v * 8 + u], &want, sizeof want), 0);
+      }
+    }
+  }
+}
+
+TEST(CodecOracle, QuantiseAndReconstructMatchScalarBitForBit) {
+  Rng rng{0xC0DEC};
+  double coeffs[64], steps[64], unit[64];
+  std::fill(std::begin(unit), std::end(unit), 1.0);
+  const double kBig[] = {32767.0, 32767.5, 32768.0, 40000.25, 2147483647.0, 2147483648.5,
+                         4294967296.0, 1e15, 4503599627370497.0, 4.6e18};
+  for (int rep = 0; rep < 4000; ++rep) {
+    // Coefficients of a real transform at a random qstep: residuals of
+    // 8-bit pixels give |c| <= 2040.
+    quant_steps_8x8(rng.uniform(0.1, 160.0), steps);
+    for (double& c : coeffs) c = rng.uniform(-2040.0, 2040.0) * (rng.uniform(0.0, 1.0) < 0.5 ? 0.02 : 1.0);
+    expect_quantise_matches(coeffs, steps);
+
+    // Exact ties k ± 0.5 and their nextafter neighbours, with unit steps so
+    // that c is the coefficient itself.
+    for (double& c : coeffs) {
+      const double k = static_cast<double>(rng.uniform_int(-40000, 40000));
+      double v = k + (rng.uniform(0.0, 1.0) < 0.5 ? 0.5 : -0.5);
+      const int nudge = static_cast<int>(rng.uniform_int(-1, 1));
+      if (nudge != 0) v = std::nextafter(v, nudge * std::numeric_limits<double>::infinity());
+      c = v;
+    }
+    expect_quantise_matches(coeffs, unit);
+
+    // Saturation: beyond ±32768 and ±2^31, up to where lround is defined
+    // (|c| < 2^63, so below 9.2e17 once divided by a step >= 0.1).
+    for (double& c : coeffs) {
+      c = kBig[rng.uniform_int(0, 9)] * (rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0);
+    }
+    expect_quantise_matches(coeffs, unit);
+    for (double& c : coeffs) c = std::clamp(c, -9e17, 9e17);
+    quant_steps_8x8(rng.uniform(0.1, 160.0), steps);
+    expect_quantise_matches(coeffs, steps);
+  }
+  // Sub-ulp ties around zero and ±0.
+  for (int i = 0; i < 64; ++i) {
+    const double base[] = {0.0, -0.0, 0.5, -0.5, 0.49999999999999994, -0.49999999999999994,
+                           1.5, -1.5, 2.5, -2.5, 4e-320, -4e-320};
+    coeffs[i] = base[i % 12];
+  }
+  expect_quantise_matches(coeffs, unit);
+  std::fill(std::begin(coeffs), std::end(coeffs), 0.0);
+  expect_quantise_matches(coeffs, unit);
+
+  // Reconstruction, with the predictor read at the frame's stride (inter)
+  // or with stride 0 (the intra mid-grey row).
+  constexpr int kWidth = 40;
+  std::vector<std::uint8_t> pred(kWidth * 8), dst(kWidth * 8), ref_dst(kWidth * 8);
+  double rec[64];
+  for (int rep = 0; rep < 4000; ++rep) {
+    for (auto& p : pred) p = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    for (int i = 0; i < 64; ++i) {
+      const int kind = static_cast<int>(rng.uniform_int(0, 3));
+      const double p = pred[(i / 8) * kWidth + i % 8];
+      if (kind == 0) rec[i] = rng.uniform(-300.0, 300.0);
+      if (kind == 1) {
+        // (p + rec) + 0.5 lands on an integer, or one ulp to either side.
+        rec[i] = static_cast<double>(rng.uniform_int(-2, 257)) - p - 0.5;
+        const int nudge = static_cast<int>(rng.uniform_int(-1, 1));
+        if (nudge != 0) rec[i] = std::nextafter(rec[i], nudge * std::numeric_limits<double>::infinity());
+      }
+      if (kind == 2) rec[i] = static_cast<double>(rng.uniform_int(-1, 1)) * 1e300;
+      if (kind == 3) rec[i] = rng.uniform(-1.0, 1.0) * 1e-300;
+    }
+    const int x0 = static_cast<int>(rng.uniform_int(0, kWidth - 8));
+    for (const std::ptrdiff_t stride : {std::ptrdiff_t{kWidth}, std::ptrdiff_t{0}}) {
+      std::fill(dst.begin(), dst.end(), 0);
+      std::fill(ref_dst.begin(), ref_dst.end(), 0);
+      reconstruct_8x8(pred.data() + x0, stride, rec, dst.data() + x0, kWidth);
+      reference_reconstruct(pred.data() + x0, stride, rec, ref_dst.data() + x0, kWidth);
+      ASSERT_EQ(dst, ref_dst) << "stride " << stride << " rep " << rep;
+    }
+  }
+  // Sums a few ulps below an integer, where (p + rec) + 0.5 and
+  // p + (rec + 0.5) round to different pixels: about one offset j per
+  // predictor value, so every p is swept over a range of j.
+  std::vector<std::pair<int, double>> cases;
+  for (int p = 0; p < 256; ++p) {
+    for (const double base : {-0.5, 0.5}) {
+      const double ulp = 0.5 - std::nextafter(0.5, 0.0);
+      for (int j = -1100; j <= 1100; ++j) cases.emplace_back(p, base + j * ulp);
+    }
+  }
+  for (std::size_t at = 0; at + 64 <= cases.size(); at += 64) {
+    for (int i = 0; i < 64; ++i) {
+      pred[(i / 8) * kWidth + i % 8] = static_cast<std::uint8_t>(cases[at + i].first);
+      rec[i] = cases[at + i].second;
+    }
+    reconstruct_8x8(pred.data(), kWidth, rec, dst.data(), kWidth);
+    reference_reconstruct(pred.data(), kWidth, rec, ref_dst.data(), kWidth);
+    ASSERT_EQ(dst, ref_dst) << "case " << at;
+  }
+}
+
+// quantise_8x8 computes each coefficient's cost 2 + ⌊2·log2(1+|q|)⌋ from
+// the exponent of a float square instead of calling log2. Every magnitude
+// q can take, both signs, must cost exactly what the log2 expression says.
+TEST(CodecOracle, CoefficientBitsMatchLog2ForEveryMagnitude) {
+  double coeffs[64], unit[64];
+  std::fill(std::begin(unit), std::end(unit), 1.0);
+  for (int m = 0; m <= 32768; ++m) {
+    for (int i = 0; i < 64; ++i) coeffs[i] = (i % 2 == 0 || m == 32768) ? -m : m;
+    expect_quantise_matches(coeffs, unit);
+  }
 }
 
 }  // namespace
