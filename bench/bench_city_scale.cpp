@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
       Cell c;
       c.fleet_size = f;
       c.policy = policy;
-      c.key = "f" + std::to_string(f) + "/" + fleet::policy_name(policy);
+      c.key = std::string{"f"}.append(std::to_string(f)).append("/").append(
+          fleet::policy_name(policy));
       for (int i = 0; i < cities; ++i) cells.push_back(c);
     }
   }
@@ -199,7 +200,7 @@ int main(int argc, char** argv) {
     c.fleet_size = std::max<int>(2, fleet_sizes.back());
     c.policy = fleet::PlacementPolicy::kLeastLoaded;
     c.crash = true;
-    c.key = "f" + std::to_string(c.fleet_size) + "/least/crash";
+    c.key = std::string{"f"}.append(std::to_string(c.fleet_size)).append("/least/crash");
     for (int i = 0; i < cities; ++i) cells.push_back(c);
   }
 

@@ -77,12 +77,47 @@ void BM_MosLqo(benchmark::State& state) {
 }
 BENCHMARK(BM_MosLqo);
 
+// A whole scored sequence: the QoE benchmark scores 25 frame pairs per
+// receiver, and mean_video_qoe reuses one set of VIFp planes across them.
+void BM_MeanVideoQoe(benchmark::State& state) {
+  media::TourGuideFeed feed{{256, 192, 10.0, 1}};
+  std::vector<media::Frame> reference;
+  std::vector<media::Frame> distorted;
+  for (int k = 0; k < 25; ++k) {
+    reference.push_back(feed.frame_at(k));
+    distorted.push_back(feed.frame_at(k + 1));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::qoe::mean_video_qoe(reference, distorted));
+  }
+  state.SetItemsProcessed(state.iterations() * 25);
+}
+BENCHMARK(BM_MeanVideoQoe);
+
 void BM_FeedRender(benchmark::State& state) {
   media::TourGuideFeed feed{{256, 192, 10.0, 1}};
   std::int64_t i = 0;
   for (auto _ : state) benchmark::DoNotOptimize(feed.frame_at(i++));
 }
 BENCHMARK(BM_FeedRender);
+
+void BM_FeedRenderTalkingHead(benchmark::State& state) {
+  media::TalkingHeadFeed feed{{256, 192, 10.0, 1}};
+  std::int64_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(feed.frame_at(i++));
+}
+BENCHMARK(BM_FeedRenderTalkingHead);
+
+// The QoE benchmark's geometry: a 256×192 talking head inside its 24-pixel
+// protective margin (Fig 13).
+void BM_FeedRenderPadded(benchmark::State& state) {
+  media::PaddedFeed feed{std::make_shared<media::TalkingHeadFeed>(
+                             media::FeedParams{256, 192, 10.0, 1}),
+                         24};
+  std::int64_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(feed.frame_at(i++));
+}
+BENCHMARK(BM_FeedRenderPadded);
 
 void BM_EventLoopChurn(benchmark::State& state) {
   for (auto _ : state) {
@@ -158,7 +193,7 @@ void BM_RelayFanout(benchmark::State& state) {
     std::int64_t received = 0;
     std::vector<net::Host*> clients;
     for (int i = 0; i < n; ++i) {
-      net::Host& h = net.add_host("c" + std::to_string(i), GeoPoint{40.0, -75.0});
+      net::Host& h = net.add_host(std::string{"c"}.append(std::to_string(i)), GeoPoint{40.0, -75.0});
       h.udp_bind(100).on_receive([&received](const net::Packet&) { ++received; });
       relay.add_participant(1, static_cast<platform::ParticipantId>(i + 1), {h.ip(), 100});
       clients.push_back(&h);

@@ -116,7 +116,7 @@ TrialResult run_trial(int n, int frames, Tracer* tracer, TimelineProbe* probe = 
   hosts.reserve(static_cast<std::size_t>(n));
   auto* digest = &out.digest;
   for (int i = 0; i < n; ++i) {
-    net::Host& h = net.add_host("c" + std::to_string(i), GeoPoint{40.0, -75.0});
+    net::Host& h = net.add_host(std::string{"c"}.append(std::to_string(i)), GeoPoint{40.0, -75.0});
     auto& sock = h.udp_bind(100);
     const std::uint64_t rx_tag = static_cast<std::uint64_t>(i) << 48;
     sock.on_receive([digest, rx_tag, &net](const net::Packet& p) {

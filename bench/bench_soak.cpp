@@ -127,7 +127,7 @@ LegResult run_relay_leg(int n, int frames) {
   auto* digest = &out.digest;
   std::vector<net::Host*> hosts;
   for (int i = 0; i < n; ++i) {
-    net::Host& h = net.add_host("c" + std::to_string(i), GeoPoint{40.0, -75.0});
+    net::Host& h = net.add_host(std::string{"c"}.append(std::to_string(i)), GeoPoint{40.0, -75.0});
     auto& sock = h.udp_bind(100);
     const std::uint64_t rx_tag = static_cast<std::uint64_t>(i) << 48;
     sock.on_receive([digest, rx_tag, &net](const net::Packet& p) {

@@ -46,7 +46,7 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int start)
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags[key] = argv[++i];
     } else {
-      flags[key] = "1";
+      flags[key] = std::string{"1"};  // assigning the literal trips GCC 12 -Wrestrict
     }
   }
   return flags;

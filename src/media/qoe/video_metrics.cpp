@@ -20,25 +20,30 @@ void require_same_size(const Frame& a, const Frame& b) {
   }
 }
 
-// Double-precision image plane used by SSIM/VIFp internals.
+// Double-precision image plane used by VIFp internals. reset() keeps the
+// buffer's capacity, so a plane that is reused across calls stops
+// allocating (and page-faulting) once it has held its largest image.
 struct DImage {
   int w = 0;
   int h = 0;
   std::vector<double> px;
 
-  DImage() = default;
-  DImage(int w_, int h_) : w(w_), h(h_), px(static_cast<std::size_t>(w_) * h_, 0.0) {}
-  explicit DImage(const Frame& f) : DImage(f.width(), f.height()) {
+  void reset(int w_, int h_) {
+    w = w_;
+    h = h_;
+    px.resize(static_cast<std::size_t>(w_) * h_);
+  }
+  void assign(const Frame& f) {
+    reset(f.width(), f.height());
     for (std::size_t i = 0; i < px.size(); ++i) px[i] = static_cast<double>(f.data()[i]);
   }
   double at(int x, int y) const { return px[static_cast<std::size_t>(y) * w + x]; }
   double& at(int x, int y) { return px[static_cast<std::size_t>(y) * w + x]; }
 };
 
-DImage multiply(const DImage& a, const DImage& b) {
-  DImage out{a.w, a.h};
+void multiply(const DImage& a, const DImage& b, DImage& out) {
+  out.reset(a.w, a.h);
   for (std::size_t i = 0; i < out.px.size(); ++i) out.px[i] = a.px[i] * b.px[i];
-  return out;
 }
 
 std::vector<double> gaussian_kernel(int n, double sd) {
@@ -62,11 +67,15 @@ std::vector<double> gaussian_kernel(int n, double sd) {
 // rounds exactly as the scalar loop does; four independent accumulators keep
 // the adds from waiting on each other. The scalar loop takes the ragged tail
 // (and everything without SSE2).
-DImage filter_valid(const DImage& in, const std::vector<double>& k) {
+// `tmp` holds the horizontal pass; `out` must not alias `in` or `tmp`.
+void filter_valid(const DImage& in, const std::vector<double>& k, DImage& tmp, DImage& out) {
   const int n = static_cast<int>(k.size());
   const int ow = in.w - n + 1;
   const int oh = in.h - n + 1;
-  if (ow <= 0 || oh <= 0) return DImage{};
+  if (ow <= 0 || oh <= 0) {
+    out.reset(0, 0);
+    return;
+  }
   // One pass: dst[x] = sum_i k[i] * src[x + i * step] for x in [0, ow).
   const auto pass = [&k, n, ow](const double* src, std::ptrdiff_t step, double* dst) {
     int x = 0;
@@ -89,22 +98,31 @@ DImage filter_valid(const DImage& in, const std::vector<double>& k) {
       dst[x] = acc;
     }
   };
-  DImage tmp{ow, in.h};
+  tmp.reset(ow, in.h);
   for (int y = 0; y < in.h; ++y) {
     pass(in.px.data() + static_cast<std::size_t>(y) * in.w, 1, &tmp.at(0, y));
   }
-  DImage out{ow, oh};
+  out.reset(ow, oh);
   for (int y = 0; y < oh; ++y) pass(&tmp.at(0, y), ow, &out.at(0, y));
-  return out;
 }
 
-DImage downsample2(const DImage& in) {
-  DImage out{(in.w + 1) / 2, (in.h + 1) / 2};
+// `out` must not alias `in`.
+void downsample2(const DImage& in, DImage& out) {
+  out.reset((in.w + 1) / 2, (in.h + 1) / 2);
   for (int y = 0; y < out.h; ++y) {
     for (int x = 0; x < out.w; ++x) out.at(x, y) = in.at(x * 2, y * 2);
   }
-  return out;
 }
+
+// Every plane one VIFp call works in. vifp() makes a fresh set per call;
+// mean_video_qoe() owns one set and reuses it for all of its pairs.
+struct VifpPlanes {
+  DImage ref, dist;         // the current scale's images
+  DImage tmp;               // filter_valid's horizontal pass
+  DImage filtered;          // a filtered image before downsampling
+  DImage product;           // ref·ref, dist·dist or ref·dist
+  DImage mu1, mu2, rr, dd, rd;
+};
 
 constexpr int kSsimWin = 8;  // SSIM window side, in pixels
 
@@ -226,7 +244,9 @@ double ssim(const Frame& reference, const Frame& distorted) {
   return windows > 0 ? total / static_cast<double>(windows) : 0.0;
 }
 
-double vifp(const Frame& reference, const Frame& distorted) {
+namespace {
+
+double vifp_with(const Frame& reference, const Frame& distorted, VifpPlanes& p) {
   require_same_size(reference, distorted);
   constexpr double kSigmaNsq = 2.0;  // HVS internal neural noise variance
   constexpr int kFirstWindow = 17;   // the finest scale's filter taps
@@ -234,8 +254,8 @@ double vifp(const Frame& reference, const Frame& distorted) {
     throw std::invalid_argument{"frame smaller than VIFp window"};
   }
 
-  DImage ref{reference};
-  DImage dist{distorted};
+  p.ref.assign(reference);
+  p.dist.assign(distorted);
   double num = 0.0;
   double den = 0.0;
 
@@ -243,22 +263,27 @@ double vifp(const Frame& reference, const Frame& distorted) {
     const int n = (1 << (4 - scale + 1)) + 1;  // 17, 9, 5, 3
     const auto kernel = gaussian_kernel(n, static_cast<double>(n) / 5.0);
     if (scale > 1) {
-      ref = downsample2(filter_valid(ref, kernel));
-      dist = downsample2(filter_valid(dist, kernel));
-      if (ref.w < n || ref.h < n) break;
+      filter_valid(p.ref, kernel, p.tmp, p.filtered);
+      downsample2(p.filtered, p.ref);
+      filter_valid(p.dist, kernel, p.tmp, p.filtered);
+      downsample2(p.filtered, p.dist);
+      if (p.ref.w < n || p.ref.h < n) break;
     }
-    const DImage mu1 = filter_valid(ref, kernel);
-    const DImage mu2 = filter_valid(dist, kernel);
-    const DImage rr = filter_valid(multiply(ref, ref), kernel);
-    const DImage dd = filter_valid(multiply(dist, dist), kernel);
-    const DImage rd = filter_valid(multiply(ref, dist), kernel);
+    filter_valid(p.ref, kernel, p.tmp, p.mu1);
+    filter_valid(p.dist, kernel, p.tmp, p.mu2);
+    multiply(p.ref, p.ref, p.product);
+    filter_valid(p.product, kernel, p.tmp, p.rr);
+    multiply(p.dist, p.dist, p.product);
+    filter_valid(p.product, kernel, p.tmp, p.dd);
+    multiply(p.ref, p.dist, p.product);
+    filter_valid(p.product, kernel, p.tmp, p.rd);
 
-    for (std::size_t i = 0; i < mu1.px.size(); ++i) {
-      const double m1 = mu1.px[i];
-      const double m2 = mu2.px[i];
-      double sigma1_sq = rr.px[i] - m1 * m1;
-      double sigma2_sq = dd.px[i] - m2 * m2;
-      double sigma12 = rd.px[i] - m1 * m2;
+    for (std::size_t i = 0; i < p.mu1.px.size(); ++i) {
+      const double m1 = p.mu1.px[i];
+      const double m2 = p.mu2.px[i];
+      double sigma1_sq = p.rr.px[i] - m1 * m1;
+      double sigma2_sq = p.dd.px[i] - m2 * m2;
+      double sigma12 = p.rd.px[i] - m1 * m2;
       sigma1_sq = std::max(sigma1_sq, 0.0);
       sigma2_sq = std::max(sigma2_sq, 0.0);
 
@@ -287,6 +312,13 @@ double vifp(const Frame& reference, const Frame& distorted) {
   return std::clamp(num / den, 0.0, 1.0);
 }
 
+}  // namespace
+
+double vifp(const Frame& reference, const Frame& distorted) {
+  VifpPlanes planes;
+  return vifp_with(reference, distorted, planes);
+}
+
 VideoQoe video_qoe(const Frame& reference, const Frame& distorted) {
   return VideoQoe{psnr(reference, distorted), ssim(reference, distorted),
                   vifp(reference, distorted)};
@@ -297,11 +329,11 @@ VideoQoe mean_video_qoe(const std::vector<Frame>& reference, const std::vector<F
     throw std::invalid_argument{"sequences must be non-empty and equal length"};
   }
   VideoQoe acc;
+  VifpPlanes planes;
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    const VideoQoe q = video_qoe(reference[i], distorted[i]);
-    acc.psnr += q.psnr;
-    acc.ssim += q.ssim;
-    acc.vifp += q.vifp;
+    acc.psnr += psnr(reference[i], distorted[i]);
+    acc.ssim += ssim(reference[i], distorted[i]);
+    acc.vifp += vifp_with(reference[i], distorted[i], planes);
   }
   const auto n = static_cast<double>(reference.size());
   return VideoQoe{acc.psnr / n, acc.ssim / n, acc.vifp / n};

@@ -186,6 +186,9 @@ VideoEncoder::VideoEncoder(int width, int height, Config cfg)
   if (!(cfg_.min_qstep > 0.0 && cfg_.min_qstep <= cfg_.max_qstep && std::isfinite(cfg_.max_qstep))) {
     throw std::invalid_argument{"qstep bounds must satisfy 0 < min_qstep <= max_qstep < inf"};
   }
+  // The first frame's trial pass runs at the starting step, so it must obey
+  // the bounds too.
+  qstep_ = std::clamp(qstep_, cfg_.min_qstep, cfg_.max_qstep);
   decisions_.resize(static_cast<std::size_t>(width / kBlock) * (height / kBlock));
 }
 

@@ -53,7 +53,9 @@ void append_stats_map(std::string& out, const char* key,
   for (const auto& [name, stats] : m) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":";
+    out += '"';
+    out += json_escape(name);
+    out += "\":";
     append_stats_object(out, stats);
   }
   out += "}";
@@ -98,7 +100,10 @@ std::string RunReport::aggregate_json() const {
   for (const auto& [name, value] : counters) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":" + std::to_string(value);
+    out += '"';
+    out += json_escape(name);
+    out += "\":";
+    out += std::to_string(value);
   }
   out += "},";
   append_stats_map(out, "gauges", gauges);

@@ -13,7 +13,10 @@ CloudTestbed::CloudTestbed(std::uint64_t seed) : CloudTestbed(Config{.seed = see
 
 net::Host& CloudTestbed::create_vm(const VmSite& site, int index) {
   std::string name = site.name;
-  if (index > 0) name += "-" + std::to_string(index + 1);
+  if (index > 0) {
+    name += '-';
+    name += std::to_string(index + 1);
+  }
   net::Host& host = network_->add_host(std::move(name), site.geo);
   clock_offsets_[host.ip()] = millis_f(rng_.normal(0.0, clock_sigma_ms_));
   return host;

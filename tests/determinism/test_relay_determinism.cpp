@@ -48,7 +48,8 @@ std::string run_canonical_session(double jitter_mean_ms) {
   std::vector<std::vector<ReceivedPacket>> rx(kParticipants);
   std::vector<net::Host*> hosts;
   for (int i = 0; i < kParticipants; ++i) {
-    net::Host& h = net.add_host("c" + std::to_string(i), GeoPoint{40.0 - i, -75.0});
+    net::Host& h =
+        net.add_host(std::string{"c"}.append(std::to_string(i)), GeoPoint{40.0 - i, -75.0});
     auto& sock = h.udp_bind(100);
     auto* sink = &rx[static_cast<std::size_t>(i)];
     sock.on_receive([sink, &net](const net::Packet& p) {

@@ -174,6 +174,7 @@ TEST(Dct8, FullEncoderBitIdenticalAcrossQstepGrid) {
         const auto got = enc.encode(frames[i]);
         EXPECT_EQ(got->bytes, ref_frames[i]->bytes)
             << dct_backend_name(backend) << " q=" << q << " frame " << i;
+        EXPECT_EQ(got->qstep, q) << "frame " << i;
         EXPECT_EQ(got->qstep, ref_frames[i]->qstep);
         EXPECT_EQ(got->coeffs, ref_frames[i]->coeffs)
             << dct_backend_name(backend) << " q=" << q << " frame " << i;

@@ -399,6 +399,51 @@ TEST(QoeOracle, FeedFramesMatchScalarReferenceBitForBit) {
   }
 }
 
+// mean_video_qoe reuses one set of VIFp planes for every pair of a sequence.
+// Pair sizes that grow, shrink and grow again must not leak one pair's planes
+// into the next: every prefix mean equals the same sum of the allocating
+// reference scores, bit for bit.
+TEST(QoeOracle, SequenceScratchMatchesAllocatingVifpBitForBit) {
+  Rng rng{0x5eed};
+  const TourGuideFeed tour{{256, 192, 10.0, 23}};
+  std::vector<Frame> reference;
+  std::vector<Frame> distorted;
+  const auto add_feed_pair = [&](int index) {
+    reference.push_back(tour.frame_at(index));
+    distorted.push_back(noisy(reference.back(), 5, static_cast<std::uint64_t>(index)));
+  };
+  const auto add_random_pair = [&](int w, int h, Content content) {
+    auto [a, b] = random_pair(rng, w, h, content);
+    reference.push_back(std::move(a));
+    distorted.push_back(std::move(b));
+  };
+  add_feed_pair(0);
+  add_random_pair(17, 17, Content::kUniform);
+  add_random_pair(18, 18, Content::kNearCopy);
+  add_random_pair(64, 48, Content::kNearConstant);
+  add_feed_pair(51);
+
+  double psnr_sum = 0.0;
+  double ssim_sum = 0.0;
+  double vifp_sum = 0.0;
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "pair " << k << " " << reference[k].width() << "x"
+                                      << reference[k].height());
+    const double expected = reference_vifp(reference[k], distorted[k]);
+    EXPECT_EQ(bits_of(qoe::vifp(reference[k], distorted[k])), bits_of(expected));
+    psnr_sum += qoe::psnr(reference[k], distorted[k]);
+    ssim_sum += reference_ssim(reference[k], distorted[k]);
+    vifp_sum += expected;
+    const std::vector<Frame> ref_prefix(reference.begin(), reference.begin() + k + 1);
+    const std::vector<Frame> dist_prefix(distorted.begin(), distorted.begin() + k + 1);
+    const qoe::VideoQoe mean = qoe::mean_video_qoe(ref_prefix, dist_prefix);
+    const auto n = static_cast<double>(k + 1);
+    EXPECT_EQ(bits_of(mean.psnr), bits_of(psnr_sum / n));
+    EXPECT_EQ(bits_of(mean.ssim), bits_of(ssim_sum / n));
+    EXPECT_EQ(bits_of(mean.vifp), bits_of(vifp_sum / n));
+  }
+}
+
 TEST(QoeOracle, SessionScoresPinned) {
   // One short Zoom high-motion session: the recorded scores' bit patterns
   // (PSNR 29.860424564646472 dB, SSIM 0.91900041163666413, VIFp

@@ -50,6 +50,27 @@ TEST(VideoCodec, RejectsBadQstepBounds) {
   EXPECT_NO_THROW((VideoEncoder{kW, kH, c}));
 }
 
+TEST(VideoCodec, StartingQstepObeysBounds) {
+  // The encoder starts at qstep 10. With a zero target the rate control
+  // never moves the step, so frame 0 is coded at the starting step itself:
+  // bounds that exclude 10 must clamp it before the first frame.
+  const Frame frame = TourGuideFeed{{kW, kH, 10.0, 3}}.frame_at(0);
+  for (const double q : {40.0, 2.5}) {
+    auto c = cfg(0);
+    c.min_qstep = q;
+    c.max_qstep = q;
+    VideoEncoder enc{kW, kH, c};
+    EXPECT_EQ(enc.current_qstep(), q);
+    EXPECT_EQ(enc.encode(frame)->qstep, q);
+    EXPECT_EQ(enc.current_qstep(), q);
+  }
+  // Bounds that include 10 leave the start where it was.
+  auto c = cfg(500);
+  c.min_qstep = 5.0;
+  c.max_qstep = 20.0;
+  EXPECT_EQ((VideoEncoder{kW, kH, c}.current_qstep()), 10.0);
+}
+
 TEST(VideoCodec, DecoderRejectsMissizedPayload) {
   // The right geometry with coefficients or modes that do not cover the
   // block grid must be refused, not read out of bounds.

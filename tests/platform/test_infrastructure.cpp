@@ -101,7 +101,7 @@ TEST(Allocator, MeetStickinessAveragesNearPaperValue) {
   double total = 0;
   const int clients = 60;
   for (int c = 0; c < clients; ++c) {
-    net::Host& client = net.add_host("c" + std::to_string(c), kLondon);
+    net::Host& client = net.add_host(std::string{"c"}.append(std::to_string(c)), kLondon);
     std::unordered_set<net::IpAddr> ips;
     for (int s = 0; s < 20; ++s) ips.insert(alloc.meet_front_end(client)->endpoint().ip);
     total += static_cast<double>(ips.size());

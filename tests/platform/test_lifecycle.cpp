@@ -138,11 +138,11 @@ TEST_F(LifecycleFixture, SequentialMeetingsOnSamePlatform) {
   std::vector<net::Endpoint> endpoints;
   for (int s = 0; s < 3; ++s) {
     std::vector<net::Packet> rx;
-    const auto host = make_client("h" + std::to_string(s), kVirginia,
+    const auto host = make_client(std::string{"h"}.append(std::to_string(s)), kVirginia,
                                   static_cast<std::uint16_t>(48000 + s * 10));
-    const auto a = make_client("a" + std::to_string(s), kCalifornia,
+    const auto a = make_client(std::string{"a"}.append(std::to_string(s)), kCalifornia,
                                static_cast<std::uint16_t>(48001 + s * 10), &rx);
-    const auto b = make_client("b" + std::to_string(s), kVirginia,
+    const auto b = make_client(std::string{"b"}.append(std::to_string(s)), kVirginia,
                                static_cast<std::uint16_t>(48002 + s * 10));
     RouteInfo route;
     const auto meeting = zoom.create_meeting(host, [&](RouteInfo r) { route = r; });

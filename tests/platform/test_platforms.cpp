@@ -145,11 +145,11 @@ TEST_F(PlatformFixture, DistinctMeetingsGetDistinctZoomRelays) {
   ZoomPlatform zoom{net};
   std::vector<net::Endpoint> endpoints;
   for (int i = 0; i < 5; ++i) {
-    const auto host = make_client("h" + std::to_string(i), kVirginia,
+    const auto host = make_client(std::string{"h"}.append(std::to_string(i)), kVirginia,
                                   static_cast<std::uint16_t>(48000 + i));
-    const auto a = make_client("a" + std::to_string(i), kVirginia,
+    const auto a = make_client(std::string{"a"}.append(std::to_string(i)), kVirginia,
                                static_cast<std::uint16_t>(48100 + i));
-    const auto b = make_client("b" + std::to_string(i), kCalifornia,
+    const auto b = make_client(std::string{"b"}.append(std::to_string(i)), kCalifornia,
                                static_cast<std::uint16_t>(48200 + i));
     RouteInfo route;
     const auto meeting = zoom.create_meeting(host, [&](RouteInfo r) { route = r; });

@@ -29,7 +29,7 @@ TEST_P(RelayFanoutSweep, ForwardsExactlyNMinusOneCopies) {
   std::vector<int> received(static_cast<std::size_t>(n), 0);
   std::vector<net::Host*> hosts;
   for (int i = 0; i < n; ++i) {
-    net::Host& h = net.add_host("c" + std::to_string(i), GeoPoint{40, -75});
+    net::Host& h = net.add_host(std::string{"c"}.append(std::to_string(i)), GeoPoint{40, -75});
     auto& sock = h.udp_bind(100);
     int* counter = &received[static_cast<std::size_t>(i)];
     sock.on_receive([counter](const net::Packet&) { ++(*counter); });
@@ -88,7 +88,7 @@ SessionOutcome run_random_session(std::uint64_t seed) {
   out.rx.resize(static_cast<std::size_t>(n));
   std::vector<net::Host*> hosts;
   for (int i = 0; i < n; ++i) {
-    net::Host& h = net.add_host("c" + std::to_string(i), GeoPoint{40, -75});
+    net::Host& h = net.add_host(std::string{"c"}.append(std::to_string(i)), GeoPoint{40, -75});
     auto& sock = h.udp_bind(100);
     auto* sink = &out.rx[static_cast<std::size_t>(i)];
     sock.on_receive([sink](const net::Packet& p) {
