@@ -136,9 +136,14 @@ BENCHMARK(BM_EventLoopChurn);
 // Steady-state scheduling: a fixed population of self-rescheduling timers
 // (the shape of media ticks, probe cadences and feedback loops). Dominated
 // by one schedule + one pop per fired event — the discrete-event hot path.
+// The timers' first firings are spread evenly over one 20 ms period, as
+// clients that joined at different instants are, so every pending timestamp
+// is distinct and the heap orders on time. 1024 timers is about the queue
+// depth of hostbench's `townhall` workload.
 void BM_EventLoopSteadyState(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
   constexpr int kTicksPerTimer = 200;
+  constexpr std::int64_t kPeriodUs = 20'000;
   for (auto _ : state) {
     net::EventLoop loop;
     std::int64_t fired = 0;
@@ -147,17 +152,17 @@ void BM_EventLoopSteadyState(benchmark::State& state) {
       ticks[static_cast<std::size_t>(i)] = [&loop, &fired, &tick = ticks[static_cast<std::size_t>(i)],
                                             timers] {
         if (++fired < static_cast<std::int64_t>(timers) * kTicksPerTimer) {
-          loop.schedule_after(millis(20), tick);
+          loop.schedule_after(micros(kPeriodUs), tick);
         }
       };
-      loop.schedule_after(millis(20), ticks[static_cast<std::size_t>(i)]);
+      loop.schedule_at(SimTime{kPeriodUs + i * kPeriodUs / timers}, ticks[static_cast<std::size_t>(i)]);
     }
     loop.run();
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() * timers * kTicksPerTimer);
 }
-BENCHMARK(BM_EventLoopSteadyState)->Arg(8)->Arg(64);
+BENCHMARK(BM_EventLoopSteadyState)->Arg(8)->Arg(64)->Arg(1024);
 
 // Schedule-then-cancel churn: half the scheduled events are cancelled before
 // they fire (retransmit timers, join timeouts, tick epochs).

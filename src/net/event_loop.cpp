@@ -1,65 +1,78 @@
 #include "net/event_loop.h"
 
-#include <algorithm>
-
 namespace vc::net {
 
 namespace {
 
-// Min ordering on (at_us, id): ids embed the monotonic schedule counter in
-// their high bits, so the tie-break keeps simultaneous events FIFO. Entries
-// are 16 bytes — four per cache line — which is what keeps deep sifts cheap.
-bool fires_before(const auto& a, const auto& b) {
-  if (a.at_us != b.at_us) return a.at_us < b.at_us;
-  return a.id < b.id;
+// The heap orders entries on one 128-bit key: at_us with its sign bit
+// flipped (so signed time order becomes unsigned order) in the high word,
+// id in the low word. One unsigned compare then orders by time and, among
+// simultaneous events, by id — whose high bits are the schedule counter, so
+// the tie-break keeps them FIFO. GCC and Clang lower the compare to
+// cmp/sbb, with no branch.
+__extension__ using Key = unsigned __int128;
+
+Key key_of(const auto& e) {
+  const std::uint64_t hi = static_cast<std::uint64_t>(e.at_us) ^ (std::uint64_t{1} << 63);
+  return (static_cast<Key>(hi) << 64) | e.id;
 }
 
 }  // namespace
 
-// Hand-rolled binary min-heap. Layout: children of i are 2i+1, 2i+2.
+// Hand-rolled 4-ary min-heap. Layout: the children of i are 4i+1 .. 4i+4,
+// so a node's child group is 4 × 16 bytes — one cache line when aligned.
 
 void EventLoop::push_heap_entry() {
+  HeapEntry* const h = heap_.data();
   std::size_t i = heap_.size() - 1;
-  const HeapEntry e = heap_[i];
+  const HeapEntry e = h[i];
+  const Key k = key_of(e);
+  // In steady state the new entry is the latest-scheduled one and stops at
+  // its first parent.
   while (i > 0) {
-    const std::size_t parent = (i - 1) >> 1;
-    if (!fires_before(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    const std::size_t parent = (i - 1) >> 2;
+    if (!(k < key_of(h[parent]))) break;
+    h[i] = h[parent];
     i = parent;
   }
-  heap_[i] = e;
+  h[i] = e;
 }
 
-void EventLoop::pop_heap_entry() {
-  // Like std::pop_heap: moves the minimum to heap_.back(), restoring the
-  // heap property on the first n-1 elements. Bottom-up variant: walk the
-  // hole to a leaf along the min-child path without comparing against the
-  // displaced tail element, then bubble that element up from the leaf. In
-  // the loop's steady state the tail is the most recently scheduled (thus
-  // max-seq) entry, so the bubble-up almost always terminates immediately —
-  // saving the per-level "done yet?" comparison a top-down sift pays.
+EventLoop::HeapEntry EventLoop::pop_heap_entry() {
+  // Top-down sift of the tail entry from the root. Each level picks the
+  // smallest of up to four children with two pairwise compares and one
+  // final compare, all as conditional moves (ids are unique, so keys never
+  // tie and any minimum is the minimum). The descent stops as soon as the
+  // smallest child is no earlier than the tail entry.
+  HeapEntry* const h = heap_.data();
+  const HeapEntry top = h[0];
   const std::size_t n = heap_.size() - 1;
-  const HeapEntry top = heap_[0];
-  if (n > 0) {
-    const HeapEntry e = heap_[n];
-    std::size_t i = 0;
-    for (;;) {
-      std::size_t child = (i << 1) + 1;
-      if (child >= n) break;
-      const std::size_t right = child + 1;
-      if (right < n && fires_before(heap_[right], heap_[child])) child = right;
-      heap_[i] = heap_[child];
-      i = child;
+  const HeapEntry last = h[n];
+  const Key last_key = key_of(last);
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t c = (i << 2) + 1;
+    std::size_t best;
+    if (c + 3 < n) {
+      const std::size_t a = c + static_cast<std::size_t>(key_of(h[c + 1]) < key_of(h[c]));
+      const std::size_t b = c + 2 + static_cast<std::size_t>(key_of(h[c + 3]) < key_of(h[c + 2]));
+      best = key_of(h[b]) < key_of(h[a]) ? b : a;
+    } else if (c < n) {
+      // The ragged last group: at most one node per heap has it.
+      best = c;
+      for (std::size_t j = c + 1; j < n; ++j) {
+        if (key_of(h[j]) < key_of(h[best])) best = j;
+      }
+    } else {
+      break;
     }
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 1;
-      if (!fires_before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
+    if (!(key_of(h[best]) < last_key)) break;
+    h[i] = h[best];
+    i = best;
   }
-  heap_[n] = top;
+  h[i] = last;
+  heap_.pop_back();
+  return top;
 }
 
 void EventLoop::cancel(EventId id) {
@@ -80,9 +93,7 @@ void EventLoop::cancel(EventId id) {
 void EventLoop::execute_ready(SimTime until) {
   const std::int64_t until_us = until.micros();
   while (!heap_.empty() && heap_.front().at_us <= until_us) {
-    pop_heap_entry();
-    const HeapEntry e = heap_.back();
-    heap_.pop_back();
+    const HeapEntry e = pop_heap_entry();
     const std::uint32_t slot = static_cast<std::uint32_t>(e.id) & kSlotMask;
     Slot& s = slot_ref(slot);
     if (s.id != e.id) continue;  // cancelled

@@ -10,10 +10,12 @@
 //     no hash table; oversized closures fall back to one heap allocation.
 //     The slab is chunked (pointer-stable): growing it never relocates armed
 //     callbacks, so events run in place even when they schedule more events.
-//   * The ready queue is a heap of plain 16-byte (time, id) records. Ids
-//     carry a monotonic schedule counter in their high bits, so ordering is
-//     a min on (time, schedule order): FIFO among simultaneous events, the
-//     determinism invariant every report depends on.
+//   * The ready queue is a 4-ary min-heap of plain 16-byte (time, id)
+//     records: a node's four children fill one 64-byte cache line, and
+//     each level picks the smallest child branch-free on one 128-bit
+//     (time, id) key. Ids carry a monotonic schedule counter in their high
+//     bits, so ordering is a min on (time, schedule order): FIFO among
+//     simultaneous events, the determinism invariant every report depends on.
 //   * EventIds pack (counter << kSlotBits) | slot — globally unique, which
 //     makes them generation tags: each slot remembers the id it is armed
 //     with, so cancel() is an O(1) compare + release, and a stale id (fired,
@@ -267,8 +269,8 @@ class EventLoop {
     /// external handles match against this, which makes stale ones inert.
     EventId id = 0;
   };
-  /// 16 bytes — sift traffic is the hot-path cache bound, and `id` doubles
-  /// as the FIFO tiebreak among simultaneous events.
+  /// 16 bytes — four make one child group of the 4-ary heap, one cache
+  /// line — and `id` doubles as the FIFO tiebreak among simultaneous events.
   struct HeapEntry {
     std::int64_t at_us = 0;
     EventId id = 0;
@@ -299,9 +301,10 @@ class EventLoop {
     --pending_;
   }
 
-  // Manual heap over heap_ with min-on-(at_us, id) ordering.
+  // 4-ary min-heap over heap_, ordered on (at_us, id). push sifts up the
+  // entry just appended; pop removes and returns the minimum.
   void push_heap_entry();
-  void pop_heap_entry();
+  HeapEntry pop_heap_entry();
 
   void execute_ready(SimTime until);
 

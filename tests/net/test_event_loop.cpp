@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -228,6 +234,131 @@ TEST(EventLoop, SlabChurnKeepsOrderAndCounts) {
   EXPECT_EQ(fired, 4000 - static_cast<int>(cancelled.size()));
   EXPECT_EQ(loop.pending(), 0u);
   EXPECT_GE(loop.queue_depth_high_water(), 4000u - cancelled.size());
+}
+
+// Drives the loop with a random mix of operations and checks every step
+// against a reference model: a std::set of live (at_us, id) pairs, which is
+// exactly the order the loop promises. Timestamps come from a coarse grid so
+// many collide (exercising the id tie-break); some lie in the past and clamp
+// to now; callbacks schedule and cancel events themselves; cancels hit live,
+// fired, stale and never-issued ids. The backlog passes 5000 entries, so
+// every heap level and, as the size moves, the ragged last child group are
+// exercised.
+TEST(EventLoop, MatchesReferenceOrderUnderRandomChurn) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 17ull, 4242ull}) {
+    SCOPED_TRACE(seed);
+    EventLoop loop;
+    std::mt19937_64 rng{seed};
+    std::set<std::pair<std::int64_t, EventId>> model;
+    std::size_t model_hwm = 0;
+    std::vector<EventId> token_ids;  // schedule token -> issued id
+    std::vector<EventId> fired_ids;
+    std::vector<EventId> cancelled_ids;
+    std::vector<EventId> executed;
+    std::vector<EventId> expected;
+    std::int64_t until_us = 0;
+    int step_errors = 0;
+
+    const auto below = [&rng](std::uint64_t n) { return static_cast<std::int64_t>(rng() % n); };
+    // A time up to `steps` 100 us grid steps after `base` (about ten live
+    // events share each grid point); about one in eight lies before now.
+    const auto draw_time = [&](std::int64_t base, std::uint64_t steps) {
+      if (rng() % 8 == 0) return loop.now().micros() - 1 - below(50);
+      return base + 100 * below(steps);
+    };
+    const auto cancel_one = [&] {
+      EventId id = 0;
+      switch (rng() % 4) {
+        case 0:  // live: the first entry at or after a random key
+          if (!model.empty()) {
+            const std::int64_t probe = model.begin()->first + below(50'000);
+            auto it = model.lower_bound({probe, 0});
+            if (it == model.end()) it = model.begin();
+            id = it->second;
+            model.erase(it);
+            cancelled_ids.push_back(id);
+          }
+          break;
+        case 1:  // already fired
+          if (!fired_ids.empty()) id = fired_ids[rng() % fired_ids.size()];
+          break;
+        case 2:  // already cancelled
+          if (!cancelled_ids.empty()) id = cancelled_ids[rng() % cancelled_ids.size()];
+          break;
+        default:  // never issued (0, or far beyond the schedule counter)
+          id = (rng() % 2 == 0) ? 0 : (rng() | (std::uint64_t{1} << 63));
+          break;
+      }
+      loop.cancel(id);
+      if (loop.pending() != model.size()) ++step_errors;
+    };
+
+    std::function<void(std::int64_t)> schedule = [&](std::int64_t at) {
+      const std::size_t token = token_ids.size();
+      token_ids.push_back(0);
+      const EventId id = loop.schedule_at(SimTime{at}, [&, token] {
+        const EventId self = token_ids[token];
+        executed.push_back(self);
+        fired_ids.push_back(self);
+        if (model.empty()) {
+          expected.push_back(0);
+          ++step_errors;
+        } else {
+          expected.push_back(model.begin()->second);
+          if (loop.now().micros() != model.begin()->first) ++step_errors;
+          model.erase(model.begin());
+        }
+        if (loop.now().micros() > until_us || loop.pending() != model.size()) ++step_errors;
+        // Reentrant work: children at, after or before now, and cancels.
+        if (rng() % 4 == 0) {
+          for (std::int64_t k = 1 + below(2); k > 0; --k) schedule(draw_time(loop.now().micros(), 3));
+        }
+        if (rng() % 16 == 0) cancel_one();
+      });
+      token_ids[token] = id;
+      model.emplace(std::max(at, loop.now().micros()), id);
+      model_hwm = std::max(model_hwm, model.size());
+      if (loop.pending() != model.size()) ++step_errors;
+    };
+
+    const auto run_until = [&](std::int64_t t) {
+      until_us = std::max(t, loop.now().micros());
+      loop.run_until(SimTime{t});
+      if (!model.empty() && model.begin()->first <= until_us) ++step_errors;
+      if (loop.now().micros() != until_us) ++step_errors;
+    };
+
+    // Build a deep backlog, then churn it with a random operation mix.
+    for (int i = 0; i < 6000; ++i) schedule(draw_time(0, 500));
+    for (int op = 0; op < 40000; ++op) {
+      const std::uint64_t r = rng() % 100;
+      if (r < 55) {
+        schedule(draw_time(loop.now().micros(), 500));
+      } else if (r < 85) {
+        cancel_one();
+      } else {
+        run_until(loop.now().micros() + below(40));
+      }
+    }
+    until_us = SimTime::infinity().micros();
+    loop.run();
+
+    EXPECT_EQ(step_errors, 0);
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(loop.pending(), 0u);
+    ASSERT_EQ(executed.size(), expected.size());
+    std::size_t first_diff = executed.size();
+    for (std::size_t i = 0; i < executed.size(); ++i) {
+      if (executed[i] != expected[i]) {
+        first_diff = i;
+        break;
+      }
+    }
+    EXPECT_EQ(first_diff, executed.size()) << "execution order diverges from the model";
+    EXPECT_GE(model_hwm, 5000u);
+    EXPECT_EQ(loop.queue_depth_high_water(), model_hwm);
+    EXPECT_EQ(loop.events_executed(), executed.size());
+  }
 }
 
 TEST(EventLoop, CallbackMayGrowSlabMidInvocation) {
